@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Runs the Section 6 recursion under every split-decision backend
-//! (`random`, `halving`, `graph`) on the degenerate generators that stress
+//! (`random`, `graph`) on the degenerate generators that stress
 //! the tol gate — all-coincident, duplicate bundles, a tolerance-band
 //! cluster, and the noisy-line workload — plus a uniform-cube control.
 //! Every answer set is verified against the brute-force oracle before its
@@ -14,7 +14,8 @@
 //!
 //! Writes `BENCH_splitters.json` (override with `SEPDC_BENCH_OUT`): the
 //! table rows carry the crossing numbers (total + max at any node), tree
-//! height, and the fallback/rescue counters per backend; the embedded
+//! height, and the driver's fallback/rescue counters per backend (the
+//! halving fallback runs under both); the embedded
 //! `"reports"` array holds each case's full [`sepdc_core::RunReport`], so
 //! the per-depth crossing and candidate distributions travel with the
 //! summary numbers.
@@ -74,11 +75,7 @@ fn main() {
 
     for (workload, pts) in workloads(n) {
         let oracle = brute_force_knn(&pts, K);
-        for kind in [
-            SplitterKind::Random,
-            SplitterKind::Halving,
-            SplitterKind::Graph,
-        ] {
+        for kind in [SplitterKind::Random, SplitterKind::Graph] {
             let cfg = KnnDcConfig::new(K).with_seed(SEED).with_splitter(kind);
             let mut secs = Vec::with_capacity(reps);
             let mut out = None;

@@ -38,7 +38,7 @@ macro_rules! with_dim {
 /// names listed in the error.
 pub fn splitter_by_name(name: &str) -> CliResult<SplitterKind> {
     SplitterKind::parse(name)
-        .ok_or_else(|| format!("unknown splitter '{name}' (available: random, halving, graph)"))
+        .ok_or_else(|| format!("unknown splitter '{name}' (available: random, graph)"))
 }
 
 /// Parse a `--precision` flag value into a [`Precision`] tier.

@@ -6,6 +6,17 @@ fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_sepdc"))
 }
 
+/// Run `sepdc` with `args`, requiring a zero exit status.
+fn run_ok(args: &[&str]) -> std::process::Output {
+    let out = bin().args(args).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out
+}
+
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("sepdc_cli_{tag}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -35,68 +46,44 @@ fn generate_knn_figure_pipeline() {
     let edges = dir.join("edges.csv");
     let fig = dir.join("fig.svg");
 
-    let out = bin()
-        .args([
-            "generate",
-            "--workload",
-            "clusters",
-            "--n",
-            "300",
-            "--dim",
-            "2",
-            "--seed",
-            "5",
-            "--out",
-            pts.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    run_ok(&[
+        "generate",
+        "--workload",
+        "clusters",
+        "--n",
+        "300",
+        "--dim",
+        "2",
+        "--seed",
+        "5",
+        "--out",
+        pts.to_str().unwrap(),
+    ]);
     assert_eq!(std::fs::read_to_string(&pts).unwrap().lines().count(), 300);
 
-    let out = bin()
-        .args([
-            "knn",
-            "--input",
-            pts.to_str().unwrap(),
-            "--k",
-            "2",
-            "--algo",
-            "parallel",
-            "--edges-out",
-            edges.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let out = run_ok(&[
+        "knn",
+        "--input",
+        pts.to_str().unwrap(),
+        "--k",
+        "2",
+        "--algo",
+        "parallel",
+        "--edges-out",
+        edges.to_str().unwrap(),
+    ]);
     let summary = String::from_utf8_lossy(&out.stderr);
     assert!(summary.contains("300 points (d=2)"), "{summary}");
     let edge_text = std::fs::read_to_string(&edges).unwrap();
     assert!(edge_text.lines().count() > 300);
 
-    let out = bin()
-        .args([
-            "figure",
-            "--input",
-            pts.to_str().unwrap(),
-            "--out",
-            fig.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    run_ok(&[
+        "figure",
+        "--input",
+        pts.to_str().unwrap(),
+        "--out",
+        fig.to_str().unwrap(),
+    ]);
     assert!(std::fs::read_to_string(&fig).unwrap().starts_with("<svg"));
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -118,11 +105,7 @@ fn separator_reports_to_stdout() {
         ])
         .output()
         .unwrap();
-    let out = bin()
-        .args(["separator", "--input", pts.to_str().unwrap(), "--k", "1"])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
+    let out = run_ok(&["separator", "--input", pts.to_str().unwrap(), "--k", "1"]);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("split"), "{text}");
     let _ = std::fs::remove_dir_all(&dir);
@@ -134,43 +117,31 @@ fn knn_report_flag_then_pretty_printer() {
     let pts = dir.join("pts.csv");
     let report = dir.join("run.json");
 
-    let out = bin()
-        .args([
-            "generate",
-            "--workload",
-            "uniform-cube",
-            "--n",
-            "500",
-            "--dim",
-            "2",
-            "--seed",
-            "11",
-            "--out",
-            pts.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
+    run_ok(&[
+        "generate",
+        "--workload",
+        "uniform-cube",
+        "--n",
+        "500",
+        "--dim",
+        "2",
+        "--seed",
+        "11",
+        "--out",
+        pts.to_str().unwrap(),
+    ]);
 
-    let out = bin()
-        .args([
-            "knn",
-            "--input",
-            pts.to_str().unwrap(),
-            "--k",
-            "2",
-            "--algo",
-            "parallel",
-            "--report",
-            report.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let out = run_ok(&[
+        "knn",
+        "--input",
+        pts.to_str().unwrap(),
+        "--k",
+        "2",
+        "--algo",
+        "parallel",
+        "--report",
+        report.to_str().unwrap(),
+    ]);
     // Summary surfaces the fallback counters (satellite fix).
     let summary = String::from_utf8_lossy(&out.stderr);
     assert!(summary.contains("forced leaves"), "{summary}");
@@ -181,15 +152,7 @@ fn knn_report_flag_then_pretty_printer() {
     assert!(json.contains("\"phases\""), "{json}");
     assert!(json.contains("\"depth\""), "{json}");
 
-    let out = bin()
-        .args(["report", "--input", report.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let out = run_ok(&["report", "--input", report.to_str().unwrap()]);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("run report v1"), "{text}");
     assert!(text.contains("per-depth histogram"), "{text}");
@@ -220,50 +183,38 @@ fn query_serves_probes_end_to_end() {
     let hits = dir.join("hits.csv");
     let report = dir.join("serve.json");
 
-    let out = bin()
-        .args([
-            "generate",
-            "--workload",
-            "uniform-cube",
-            "--n",
-            "400",
-            "--dim",
-            "2",
-            "--seed",
-            "9",
-            "--out",
-            pts.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
+    run_ok(&[
+        "generate",
+        "--workload",
+        "uniform-cube",
+        "--n",
+        "400",
+        "--dim",
+        "2",
+        "--seed",
+        "9",
+        "--out",
+        pts.to_str().unwrap(),
+    ]);
 
-    let out = bin()
-        .args([
-            "query",
-            "--input",
-            pts.to_str().unwrap(),
-            "--k",
-            "2",
-            "--probe-workload",
-            "clusters",
-            "--probe-n",
-            "150",
-            "--interior",
-            "--chunk",
-            "64",
-            "--out",
-            hits.to_str().unwrap(),
-            "--report",
-            report.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let out = run_ok(&[
+        "query",
+        "--input",
+        pts.to_str().unwrap(),
+        "--k",
+        "2",
+        "--probe-workload",
+        "clusters",
+        "--probe-n",
+        "150",
+        "--interior",
+        "--chunk",
+        "64",
+        "--out",
+        hits.to_str().unwrap(),
+        "--report",
+        report.to_str().unwrap(),
+    ]);
     let summary = String::from_utf8_lossy(&out.stderr);
     assert!(summary.contains("served 150 probes"), "{summary}");
     assert!(summary.contains("open predicate"), "{summary}");
@@ -276,15 +227,7 @@ fn query_serves_probes_end_to_end() {
     // Serve run report round-trips through the pretty-printer.
     let json = std::fs::read_to_string(&report).unwrap();
     assert!(json.contains("\"algo\": \"query-serve\""), "{json}");
-    let out = bin()
-        .args(["report", "--input", report.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let out = run_ok(&["report", "--input", report.to_str().unwrap()]);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("query-serve"), "{text}");
 
@@ -316,84 +259,56 @@ fn index_build_inspect_serve_pipeline() {
         ("uniform-cube", "500", "9", &pts),
         ("clusters", "80", "3", &probes),
     ] {
-        let out = bin()
-            .args([
-                "generate",
-                "--workload",
-                workload,
-                "--n",
-                n,
-                "--dim",
-                "2",
-                "--seed",
-                seed,
-                "--out",
-                path.to_str().unwrap(),
-            ])
-            .output()
-            .unwrap();
-        assert!(out.status.success());
+        run_ok(&[
+            "generate",
+            "--workload",
+            workload,
+            "--n",
+            n,
+            "--dim",
+            "2",
+            "--seed",
+            seed,
+            "--out",
+            path.to_str().unwrap(),
+        ]);
     }
 
     // Build a snapshot, then inspect it.
-    let out = bin()
-        .args([
-            "index",
-            "build",
-            "--input",
-            pts.to_str().unwrap(),
-            "--k",
-            "2",
-            "--seed",
-            "5",
-            "--out",
-            snap.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let out = run_ok(&[
+        "index",
+        "build",
+        "--input",
+        pts.to_str().unwrap(),
+        "--k",
+        "2",
+        "--seed",
+        "5",
+        "--out",
+        snap.to_str().unwrap(),
+    ]);
     let summary = String::from_utf8_lossy(&out.stderr);
     assert!(summary.contains("500 balls"), "{summary}");
 
-    let out = bin()
-        .args(["index", "inspect", "--input", snap.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let out = run_ok(&["index", "inspect", "--input", snap.to_str().unwrap()]);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("query-tree"), "{text}");
     assert!(text.contains("fnv1a64"), "{text}");
 
     // The reference answers from the one-shot query command.
-    let out = bin()
-        .args([
-            "query",
-            "--input",
-            pts.to_str().unwrap(),
-            "--k",
-            "2",
-            "--seed",
-            "5",
-            "--probes",
-            probes.to_str().unwrap(),
-            "--out",
-            hits.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    run_ok(&[
+        "query",
+        "--input",
+        pts.to_str().unwrap(),
+        "--k",
+        "2",
+        "--seed",
+        "5",
+        "--probes",
+        probes.to_str().unwrap(),
+        "--out",
+        hits.to_str().unwrap(),
+    ]);
     let want: Vec<String> = std::fs::read_to_string(&hits)
         .unwrap()
         .lines()
@@ -432,5 +347,40 @@ fn index_build_inspect_serve_pipeline() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("index build|inspect"));
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn index_rebuild_replaces_snapshot_atomically() {
+    let dir = tmpdir("rebuild");
+    let (pts, snap) = (dir.join("pts.csv"), dir.join("index.snap"));
+    let (pts, snap) = (pts.to_str().unwrap(), snap.to_str().unwrap());
+    run_ok(&[
+        "generate",
+        "--workload",
+        "uniform-cube",
+        "--n",
+        "300",
+        "--out",
+        pts,
+    ]);
+    let build = |seed| {
+        run_ok(&[
+            "index", "build", "--input", pts, "--seed", seed, "--out", snap,
+        ]);
+        std::fs::read(snap).unwrap()
+    };
+    let first = build("5");
+    // The rebuild writes over the existing snapshot: the target ends up
+    // holding exactly the new bytes and no temp sibling is left behind.
+    let second = build("6");
+    assert_ne!(first, second, "different seeds must build different trees");
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    assert_eq!(names, ["index.snap", "pts.csv"]);
+    run_ok(&["index", "inspect", "--input", snap]);
     let _ = std::fs::remove_dir_all(&dir);
 }

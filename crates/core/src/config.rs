@@ -557,9 +557,9 @@ mod tests {
 
     #[test]
     fn with_splitter_sets_both_layers() {
-        let cfg = KnnDcConfig::new(1).with_splitter(SplitterKind::Halving);
-        assert_eq!(cfg.splitter, SplitterKind::Halving);
-        assert_eq!(cfg.query.splitter, SplitterKind::Halving);
+        let cfg = KnnDcConfig::new(1).with_splitter(SplitterKind::Graph);
+        assert_eq!(cfg.splitter, SplitterKind::Graph);
+        assert_eq!(cfg.query.splitter, SplitterKind::Graph);
         // Default stays the paper's engine.
         assert_eq!(KnnDcConfig::new(1).splitter, SplitterKind::Random);
     }

@@ -34,6 +34,33 @@ pub(crate) struct CrossingBall<const D: usize> {
 /// overhead dwarfs the per-id work below it.
 const PAR_SCAN_CUTOFF: usize = 2048;
 
+/// The first correction step at a node whose items are `ids`, interior
+/// side first (`nl` of them): collect both sides' crossing balls and fix
+/// the owners whose subset ball is unbounded by a scan of the opposite
+/// side. Returns the left and right crossing sets and the ε-skips.
+///
+/// ε-mode shrinks each crossing ball's radius by 1/(1+ε) here
+/// ([`crate::config::eps_radius_scale`]); every later correction stage
+/// reads the shrunk radii, so the whole correction inherits the
+/// relaxation from this single site.
+pub(crate) fn collect_both_sides<const D: usize>(
+    points: &[Point<D>],
+    soa: &SoaPoints<D>,
+    lists: &SharedLists,
+    ids: &[u32],
+    nl: usize,
+    sep: &Separator<D>,
+    epsilon: f64,
+) -> (Vec<CrossingBall<D>>, Vec<CrossingBall<D>>, u64) {
+    let (left, right) = ids.split_at(nl);
+    let scale = crate::config::eps_radius_scale(epsilon);
+    let (cross_l, unbounded_l, skips_l) = collect_crossing(points, lists, left, sep, scale);
+    let (cross_r, unbounded_r, skips_r) = collect_crossing(points, lists, right, sep, scale);
+    correct_unbounded(soa, lists, &unbounded_l, right);
+    correct_unbounded(soa, lists, &unbounded_r, left);
+    (cross_l, cross_r, skips_l + skips_r)
+}
+
 /// Collect the crossing balls of one side. Owners with unbounded subset
 /// balls (side smaller than `k+1`, possible only after degenerate fallback
 /// cuts) are returned separately for exhaustive correction.
@@ -50,7 +77,7 @@ const PAR_SCAN_CUTOFF: usize = 2048;
 /// Large sides are scanned as parallel chunks with per-chunk buffers; the
 /// chunk results are concatenated in chunk order, so the output is
 /// identical to the sequential scan regardless of thread count.
-pub(crate) fn collect_crossing<const D: usize>(
+fn collect_crossing<const D: usize>(
     points: &[Point<D>],
     lists: &SharedLists,
     side_ids: &[u32],
@@ -100,7 +127,7 @@ pub(crate) fn collect_crossing<const D: usize>(
 /// `|unbounded| · |opposite|`. Owners are corrected in parallel when the
 /// pair count is large — each owner writes only its own list, and
 /// `merge_candidate` is order-independent, so the result is deterministic.
-pub(crate) fn correct_unbounded<const D: usize>(
+fn correct_unbounded<const D: usize>(
     soa: &SoaPoints<D>,
     lists: &SharedLists,
     unbounded: &[u32],

@@ -15,7 +15,7 @@
 //! | §3 batch serving (read path over [`query`]) | [`serve`] |
 //! | persistent index snapshots (save/load) | [`snapshot`] |
 //! | batch-dynamic sharding (logarithmic method) | [`sharded`] |
-//! | pluggable split-decision backends | [`splitter`] |
+//! | separator divide-and-conquer driver, split-decision backends | `dc`, [`splitter`] |
 //!
 //! Baselines and substrates: [`brute`] (the `O(n²)` oracle), [`kdtree`]
 //! (the sequential `O(n log n)`-class baseline standing in for Vaidya's
@@ -41,6 +41,7 @@ pub mod balltree;
 pub mod brute;
 pub mod config;
 pub mod correction;
+mod dc;
 pub mod error;
 pub mod graph;
 pub mod graph_separator;
@@ -87,7 +88,5 @@ pub use snapshot::{
     save_sharded_index, SectionInfo, SnapshotError, SnapshotInfo, SnapshotKind, SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
 };
-pub use splitter::{
-    splitter_for, DeterministicHalving, GraphSplitter, RandomSphere, Splitter, SplitterKind,
-};
+pub use splitter::{splitter_for, GraphSplitter, RandomSphere, Splitter, SplitterKind};
 pub use validate::{validate_against_oracle, validate_knn, ValidationError};

@@ -17,30 +17,26 @@
 //!   punts along any root-leaf path sum to `O(log n)` w.h.p., so the whole
 //!   algorithm stays `O(log n)` depth.
 
-use crate::config::{eps_radius_scale, KnnDcConfig};
-use crate::correction::{collect_crossing, correct_unbounded, correct_via_query, CrossingBall};
-use crate::query::QueryTreeConfig;
+use crate::config::KnnDcConfig;
+use crate::correction::{collect_both_sides, correct_via_query, CrossingBall};
+use crate::dc::{partition_points, Driver, Engine, Leaf, Node, Rule};
 use crate::error::{validate_points, SepdcError};
 use crate::knn::{brute_list_soa_into, KnnResult};
-use crate::partition_tree::{
-    march_arena_par, partition_in_place_par, PartitionNode, PartitionTree,
-};
-use crate::report::{cost_counters, meter_counters, Phase, RunRecorder, RunReport};
-use crate::seeding::{child_seed, punt_seed};
+use crate::partition_tree::{march_arena_par, PartitionNode, PartitionTree};
+use crate::query::QueryTreeConfig;
+use crate::report::{cost_counters, meter_counters, stats_counters, Phase, RunRecorder, RunReport};
+use crate::seeding::punt_seed;
 use crate::shared::SharedLists;
 use crate::splitter::splitter_for;
 use rayon::prelude::*;
 use sepdc_geom::aabb::Aabb;
 use sepdc_geom::point::Point;
+use sepdc_geom::shape::Separator;
 use sepdc_geom::soa::{FilterStats, SoaPoints};
 use sepdc_scan::cost::{CostMeter, MeterSnapshot};
 use sepdc_scan::CostProfile;
 use sepdc_separator::SearchOutcome;
 
-/// Minimum node size before the centers gather runs in parallel (matches
-/// the in-place partition cutoff: below this the memcpy is cheaper than
-/// the fork).
-const GATHER_PAR_CUTOFF: usize = 1 << 14;
 /// Minimum right-subtree arena length before the postorder index remap
 /// fans out across the pool.
 const REMAP_PAR_CUTOFF: usize = 1 << 14;
@@ -87,13 +83,12 @@ pub struct ParallelDcStats {
     pub depth_forced_leaves: usize,
     /// Unit-time separator candidates drawn.
     pub candidates: u64,
-    /// Nodes split by the derandomized halving cut after the random
-    /// search exhausted its attempts (the `halving` backend's fallback).
+    /// Nodes split by the derandomized halving cut after the backend
+    /// found no separator (the divide-and-conquer driver's fallback).
     pub halving_splits: u64,
-    /// Nodes where [`Splitter::rescue`](crate::splitter::Splitter::rescue)
-    /// re-split a one-sided accepted separator that would otherwise have
-    /// become a forced brute leaf (counted in `degenerate_splits` under
-    /// the default backend).
+    /// Nodes where the driver's halving rescue re-split a one-sided
+    /// accepted separator that would otherwise have become a forced brute
+    /// leaf (counted in `degenerate_splits` when the rescue fails too).
     pub halving_rescues: u64,
     /// Nodes split by the BFS/greedy intersection-graph separator (the
     /// `graph` backend).
@@ -101,15 +96,26 @@ pub struct ParallelDcStats {
 }
 
 impl ParallelDcStats {
-    fn leaf(forced: bool) -> Self {
+    fn leaf(kind: Leaf) -> Self {
+        let (forced_leaves, degenerate_splits, depth_forced_leaves) = kind.counts();
         ParallelDcStats {
             base_leaves: 1,
-            forced_leaves: usize::from(forced),
+            forced_leaves,
+            degenerate_splits,
+            depth_forced_leaves,
             ..Default::default()
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The `stats.*` run-report counters, one per field.
+    fn counters(&self) -> Vec<(String, f64)> {
+        stats_counters!(self;
+            height, total_crossing, max_node_crossing, max_crossing_vs_threshold,
+            fast_corrections, punts_threshold, punts_marching, max_marching_ratio,
+            base_leaves, forced_leaves, degenerate_splits, depth_forced_leaves,
+            candidates, halving_splits, halving_rescues, graph_splits)
+    }
+
     fn merge(self, o: Self) -> Self {
         ParallelDcStats {
             height: 1 + self.height.max(o.height),
@@ -154,6 +160,18 @@ pub struct ParallelDcOutput<const D: usize> {
     pub report: RunReport,
 }
 
+/// A solved subtree: its postorder node arena (leaf ranges relative to
+/// the subtree's own id slice), the matching per-node bounding boxes, and
+/// the cost and statistics accumulated below it.
+struct Subtree<const D: usize> {
+    nodes: Vec<PartitionNode<D>>,
+    bounds: Vec<Aabb<D>>,
+    cost: CostProfile,
+    stats: ParallelDcStats,
+}
+
+/// The Section 6 engine: leaf solves, in-place routing, and the
+/// fast-correction / punt combine.
 struct Ctx<'a, const D: usize> {
     points: &'a [Point<D>],
     /// Column-major copy of `points` — the batched distance kernels
@@ -163,13 +181,6 @@ struct Ctx<'a, const D: usize> {
     cfg: &'a KnnDcConfig,
     meter: &'a CostMeter,
     obs: &'a RunRecorder,
-    base: usize,
-    /// Depth at which the recursion stops subdividing.
-    depth_limit: usize,
-    /// `true` when `depth_limit` came from an explicit
-    /// [`KnnDcConfig::max_depth`]: exceeding it is then an error instead
-    /// of a brute-force leaf.
-    strict_depth: bool,
 }
 
 /// Section 6: sphere-separator divide and conquer with fast correction and
@@ -207,9 +218,7 @@ pub fn try_parallel_knn<const D: usize, const E: usize>(
     let n = points.len();
     let lists = SharedLists::new(n, cfg.k);
     let meter = CostMeter::new();
-    let base = cfg.resolve_base_case(n, D);
-    let depth_limit = cfg.resolve_depth_limit(n);
-    let obs = RunRecorder::new(cfg.record, depth_limit);
+    let obs = RunRecorder::new(cfg.record, cfg.resolve_depth_limit(n));
     let soa = SoaPoints::from_points(points);
     let ctx = Ctx {
         points,
@@ -218,140 +227,58 @@ pub fn try_parallel_knn<const D: usize, const E: usize>(
         cfg,
         meter: &meter,
         obs: &obs,
-        base,
-        depth_limit,
-        strict_depth: cfg.max_depth.is_some(),
     };
+    let driver = Driver::<D, E>::for_knn(
+        cfg,
+        n,
+        Rule::Backend(splitter_for(cfg.splitter)),
+        &obs,
+        Some(&meter),
+    );
     // The permutation arena: the recursion partitions this buffer in
     // place, handing each recursive call a disjoint `&mut` slice — no
     // per-level id-set clones.
     let mut perm: Vec<u32> = (0..n as u32).collect();
-    let (nodes, bounds, cost, stats) = rec::<D, E>(&ctx, &mut perm, cfg.seed, 0)?;
+    let sub = driver.run(&ctx, &mut perm, cfg.seed, 0)?;
     let snapshot = meter.snapshot();
-    let report = build_report::<D>(cfg, n, base, depth_limit, &stats, &snapshot, &cost, &obs)
-        .finish(t_run.elapsed());
-    Ok(ParallelDcOutput {
-        knn: lists.into_result(),
-        cost,
-        stats,
-        meter: snapshot,
-        tree: PartitionTree::from_parts_with_bounds(nodes, perm, bounds),
-        report,
-    })
-}
-
-/// Assemble the [`RunReport`] for one Section 6 run; the caller stamps the
-/// total wall time via [`RunReport::finish`].
-#[allow(clippy::too_many_arguments)]
-fn build_report<const D: usize>(
-    cfg: &KnnDcConfig,
-    n: usize,
-    base: usize,
-    depth_limit: usize,
-    stats: &ParallelDcStats,
-    meter: &MeterSnapshot,
-    cost: &CostProfile,
-    obs: &RunRecorder,
-) -> RunReport {
-    let mut counters = vec![
-        ("stats.height".to_string(), stats.height as f64),
-        (
-            "stats.total_crossing".to_string(),
-            stats.total_crossing as f64,
-        ),
-        (
-            "stats.max_node_crossing".to_string(),
-            stats.max_node_crossing as f64,
-        ),
-        (
-            "stats.max_crossing_vs_threshold".to_string(),
-            stats.max_crossing_vs_threshold,
-        ),
-        (
-            "stats.fast_corrections".to_string(),
-            stats.fast_corrections as f64,
-        ),
-        (
-            "stats.punts_threshold".to_string(),
-            stats.punts_threshold as f64,
-        ),
-        (
-            "stats.punts_marching".to_string(),
-            stats.punts_marching as f64,
-        ),
-        (
-            "stats.max_marching_ratio".to_string(),
-            stats.max_marching_ratio,
-        ),
-        ("stats.base_leaves".to_string(), stats.base_leaves as f64),
-        (
-            "stats.forced_leaves".to_string(),
-            stats.forced_leaves as f64,
-        ),
-        (
-            "stats.degenerate_splits".to_string(),
-            stats.degenerate_splits as f64,
-        ),
-        (
-            "stats.depth_forced_leaves".to_string(),
-            stats.depth_forced_leaves as f64,
-        ),
-        ("stats.candidates".to_string(), stats.candidates as f64),
-        (
-            "stats.halving_splits".to_string(),
-            stats.halving_splits as f64,
-        ),
-        (
-            "stats.halving_rescues".to_string(),
-            stats.halving_rescues as f64,
-        ),
-        ("stats.graph_splits".to_string(), stats.graph_splits as f64),
-    ];
-    counters.extend(meter_counters(meter));
-    counters.extend(cost_counters(cost));
+    let mut counters = sub.stats.counters();
+    counters.extend(meter_counters(&snapshot));
+    counters.extend(cost_counters(&sub.cost));
     // Correction-engine view of the meter (same numbers, task-oriented
     // names): total march steps, subtrees skipped by AABB-vs-ball
     // rejection, and distance evaluations spent on marched candidates.
-    counters.push((
-        "correction.march_steps".to_string(),
-        meter.marching_balls as f64,
-    ));
-    counters.push((
-        "correction.march_pruned".to_string(),
-        meter.march_pruned as f64,
-    ));
-    counters.push((
-        "correction.dist_evals".to_string(),
-        meter.correction_dist_evals as f64,
-    ));
-    RunReport {
-        version: crate::report::RUN_REPORT_VERSION,
-        algo: "parallel".to_string(),
-        dim: D,
-        n,
-        k: cfg.k,
-        seed: cfg.seed,
-        threads: rayon::current_num_threads(),
-        wall_ms: 0.0,
-        config: config_echo(cfg, base, depth_limit, D),
-        phases: obs.phases(),
-        counters,
-        depth: obs.depth_rows(),
+    for (name, v) in [
+        ("march_steps", snapshot.marching_balls),
+        ("march_pruned", snapshot.march_pruned),
+        ("dist_evals", snapshot.correction_dist_evals),
+    ] {
+        counters.push((format!("correction.{name}"), v as f64));
     }
+    Ok(ParallelDcOutput {
+        knn: lists.into_result(),
+        cost: sub.cost,
+        stats: sub.stats,
+        meter: snapshot,
+        tree: PartitionTree::from_parts_with_bounds(sub.nodes, perm, sub.bounds),
+        report: knn_report("parallel", cfg, n, &driver, counters, t_run),
+    })
 }
 
-/// Config echo shared by the Section 5 and Section 6 reports: the resolved
-/// tunables, each as a named `f64`, in a fixed order.
-pub(crate) fn config_echo(
+/// The run report of a Section 5 or Section 6 build: the config echo
+/// (the resolved tunables, each as a named `f64`, in a fixed order), the
+/// recorder's phases and depth histogram, and `counters`.
+pub(crate) fn knn_report<const D: usize, const E: usize>(
+    algo: &str,
     cfg: &KnnDcConfig,
-    base: usize,
-    depth_limit: usize,
-    d: usize,
-) -> Vec<(String, f64)> {
-    vec![
+    n: usize,
+    driver: &Driver<D, E>,
+    counters: Vec<(String, f64)>,
+    t_run: std::time::Instant,
+) -> RunReport {
+    let config = vec![
         ("k".to_string(), cfg.k as f64),
-        ("dim".to_string(), d as f64),
-        ("base_case".to_string(), base as f64),
+        ("dim".to_string(), D as f64),
+        ("base_case".to_string(), driver.leaf_size as f64),
         ("mu_epsilon".to_string(), cfg.mu_epsilon),
         ("punt_slack".to_string(), cfg.punt_slack),
         ("eta".to_string(), cfg.eta),
@@ -368,313 +295,221 @@ pub(crate) fn config_echo(
         ),
         ("query.leaf_size".to_string(), cfg.query.leaf_size as f64),
         ("parallel_cutoff".to_string(), cfg.parallel_cutoff as f64),
-        ("depth_limit".to_string(), depth_limit as f64),
+        ("depth_limit".to_string(), driver.depth_limit as f64),
         ("record".to_string(), f64::from(u8::from(cfg.record))),
         ("splitter".to_string(), cfg.splitter.code() as f64),
         ("precision".to_string(), cfg.precision.code() as f64),
         ("epsilon".to_string(), cfg.epsilon),
-    ]
+    ];
+    RunReport {
+        version: crate::report::RUN_REPORT_VERSION,
+        algo: algo.to_string(),
+        dim: D,
+        n,
+        k: cfg.k,
+        seed: cfg.seed,
+        threads: rayon::current_num_threads(),
+        wall_ms: 0.0,
+        config,
+        phases: driver.obs.phases(),
+        counters,
+        depth: driver.obs.depth_rows(),
+    }
+    .finish(t_run.elapsed())
 }
 
-fn leaf_case<const D: usize>(
-    ctx: &Ctx<'_, D>,
-    ids: &[u32],
-    depth: usize,
-    forced: bool,
-) -> (
-    Vec<PartitionNode<D>>,
-    Vec<Aabb<D>>,
-    CostProfile,
-    ParallelDcStats,
-) {
-    let m = ids.len();
-    let t0 = ctx.obs.start();
-    // Write each leaf list straight into the shared store through one
-    // reused scratch buffer: allocating a full n-point KnnResult here
-    // costs O(n) per leaf, which dominates the whole recursion
-    // (O(n²/base) total) once n is large. Distances come from the SoA
-    // arena's blocked kernel (bit-identical to the scalar scan).
-    let k = ctx.lists.k();
-    let mut scratch = Vec::with_capacity(k + 1);
-    let mut dists = Vec::with_capacity(m);
-    for &i in ids {
-        brute_list_soa_into(ctx.soa, i, ids, k, &mut dists, &mut scratch);
-        ctx.lists.set_list(i as usize, &scratch);
-    }
-    ctx.meter.add_distance_evals((m * m) as u64);
-    ctx.obs.stop(Phase::LeafSolve, t0);
-    ctx.obs.leaf(depth);
-    (
-        // Leaf offsets are relative to this call's own slice; ancestors
-        // shift them as they merge child arenas.
-        vec![PartitionNode::Leaf {
-            start: 0,
-            len: m as u32,
-        }],
-        vec![ctx.soa.aabb_of_ids(ids)],
-        // Paper base case: "compute in m time using m processors".
-        CostProfile::rounds(m as u64, m as u64),
-        ParallelDcStats::leaf(forced),
-    )
-}
+impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
+    type Routed = usize;
+    type Out = Subtree<D>;
 
-type RecResult<const D: usize> = Result<
-    (
-        Vec<PartitionNode<D>>,
-        Vec<Aabb<D>>,
-        CostProfile,
-        ParallelDcStats,
-    ),
-    SepdcError,
->;
-
-fn rec<const D: usize, const E: usize>(
-    ctx: &Ctx<'_, D>,
-    ids: &mut [u32],
-    seed: u64,
-    depth: usize,
-) -> RecResult<D> {
-    let m = ids.len();
-    ctx.obs.node(depth);
-    if m <= ctx.base {
-        return Ok(leaf_case(ctx, ids, depth, false));
+    fn center(&self, id: u32) -> Point<D> {
+        self.points[id as usize]
     }
-    if depth >= ctx.depth_limit {
-        // A split sequence of accepted δ-splits cannot reach this depth;
-        // getting here means the routing degenerated level after level.
-        // With the automatic limit we stay total by absorbing the subset
-        // into a brute-force leaf; an explicit max_depth is strict and
-        // aborts with a typed error instead.
-        if ctx.strict_depth {
-            return Err(SepdcError::RecursionDepthExceeded {
-                limit: ctx.depth_limit,
-            });
+
+    fn leaf(&self, ids: &[u32], kind: Leaf) -> Subtree<D> {
+        let m = ids.len();
+        let t0 = self.obs.start();
+        // Write each leaf list straight into the shared store through one
+        // reused scratch buffer: allocating a full n-point KnnResult here
+        // costs O(n) per leaf, which dominates the whole recursion
+        // (O(n²/base) total) once n is large. Distances come from the SoA
+        // arena's blocked kernel (bit-identical to the scalar scan).
+        let k = self.lists.k();
+        let mut scratch = Vec::with_capacity(k + 1);
+        let mut dists = Vec::with_capacity(m);
+        for &i in ids {
+            brute_list_soa_into(self.soa, i, ids, k, &mut dists, &mut scratch);
+            self.lists.set_list(i as usize, &scratch);
         }
-        let mut out = leaf_case(ctx, ids, depth, true);
-        out.3.depth_forced_leaves = 1;
-        return Ok(out);
+        self.meter.add_distance_evals((m * m) as u64);
+        self.obs.stop(Phase::LeafSolve, t0);
+        Subtree {
+            // Leaf offsets are relative to this call's own slice; ancestors
+            // shift them as they merge child arenas.
+            nodes: vec![PartitionNode::Leaf {
+                start: 0,
+                len: m as u32,
+            }],
+            bounds: vec![self.soa.aabb_of_ids(ids)],
+            // Paper base case: "compute in m time using m processors".
+            cost: CostProfile::rounds(m as u64, m as u64),
+            stats: ParallelDcStats::leaf(kind),
+        }
     }
-    let t_split = ctx.obs.start();
-    // Gather this node's centers (parallel when the slice is large; the
-    // chunked collect preserves index order, so the gather is positionally
-    // identical to the serial loop).
-    let centers: Vec<Point<D>> = if m >= GATHER_PAR_CUTOFF {
-        ids.par_iter().map(|&i| ctx.points[i as usize]).collect()
-    } else {
-        ids.iter().map(|&i| ctx.points[i as usize]).collect()
-    };
-    // Split decision, routed through the configured backend. For the
-    // default `RandomSphere` this is the speculative candidate sweep,
-    // timed as a sub-interval of the split: `separator-search` time is
-    // *contained in* `split` time, never summed with it. The sweep always
-    // returns the lowest-indexed acceptable candidate, so the output
-    // matches the serial one-at-a-time scan for every thread count — and
-    // every backend's `split` is likewise a pure function of
-    // `(centers, cfg, seed)`.
-    let sp = splitter_for::<D, E>(ctx.cfg.splitter);
-    let found = ctx.obs.time(Phase::SeparatorSearch, || {
-        sp.split(&centers, &ctx.cfg.separator, seed)
-    });
-    let Some(found) = found else {
-        ctx.obs.stop(Phase::Split, t_split);
-        return Ok(leaf_case(ctx, ids, depth, true));
-    };
-    ctx.meter.add_candidates(found.attempts as u64);
-    ctx.meter.add_accept();
-    ctx.obs.add_candidates(depth, found.attempts as u64);
-    let mut sep = found.separator;
 
-    // Carve this call's id slice in place: interior side to the front.
-    let mut nl =
-        partition_in_place_par(ids, |i| sep.side(&ctx.points[i as usize]).routes_interior());
-    let mut rescued = false;
-    if nl == 0 || nl == m {
-        // The separator was *accepted* — its tolerance-counted split looked
-        // balanced — but strict-side routing sent every point to one side
-        // (all of them within `tol` of the surface). Ask the backend for a
-        // deterministic second-chance cut before giving up.
-        if let Some(rsep) = sp.rescue(&centers) {
-            let rnl = partition_in_place_par(ids, |i| {
-                rsep.side(&ctx.points[i as usize]).routes_interior()
-            });
-            if rnl > 0 && rnl < m {
-                sep = rsep;
-                nl = rnl;
-                rescued = true;
+    fn route(&self, ids: &mut [u32], sep: &Separator<D>) -> Option<usize> {
+        partition_points(self.points, ids, sep)
+    }
+
+    fn combine(
+        &self,
+        ids: &[u32],
+        nl: usize,
+        node: Node<D>,
+        left: Subtree<D>,
+        right: Subtree<D>,
+    ) -> Subtree<D> {
+        let (m, depth, sep) = (ids.len(), node.depth, node.sep);
+        // Merge the child arenas into one postorder node vec: the right
+        // child's node indices shift by the left arena's length, and its
+        // leaf ranges (relative to the right slice) shift by `nl` to become
+        // relative to this call's slice. The bounds arena is positional
+        // (bounds[i] boxes the subtree rooted at node i), so it
+        // concatenates with no rewriting.
+        let node_off = left.nodes.len() as u32;
+        let mut nodes = left.nodes;
+        nodes.reserve(right.nodes.len() + 1);
+        let mut bounds = left.bounds;
+        bounds.reserve(right.bounds.len() + 1);
+        bounds.extend(right.bounds);
+        let mut rnodes = right.nodes;
+        let shift = |nd: &mut PartitionNode<D>| match nd {
+            PartitionNode::Internal { left, right, .. } => {
+                *left += node_off;
+                *right += node_off;
             }
+            PartitionNode::Leaf { start, .. } => *start += nl as u32,
+        };
+        if rnodes.len() >= REMAP_PAR_CUTOFF {
+            rnodes
+                .par_chunks_mut(REMAP_PAR_CHUNK)
+                .for_each(|chunk| chunk.iter_mut().for_each(shift));
+        } else {
+            rnodes.iter_mut().for_each(shift);
         }
-    }
-    ctx.obs.stop(Phase::Split, t_split);
-    if nl == 0 || nl == m {
-        // No rescue (the default backend's answer) or the rescue routed
-        // one-sided too. Recursing here would re-run this call on an
-        // unshrunk slice forever; fall back to a brute-force leaf instead.
-        let mut out = leaf_case(ctx, ids, depth, true);
-        out.3.degenerate_splits = 1;
-        return Ok(out);
-    }
+        nodes.append(&mut rnodes);
+        let l_root = node_off - 1;
+        let r_root = nodes.len() as u32 - 1;
 
-    // Per-node seeds are a pure function of the root seed and the node's
-    // root-to-node path (see [`crate::seeding`]): sibling subtrees draw
-    // from unrelated streams no matter which thread builds them.
-    let lseed = child_seed(seed, false);
-    let rseed = child_seed(seed, true);
-    let (lslice, rslice) = ids.split_at_mut(nl);
-    let (lres, rres) = if m > ctx.cfg.parallel_cutoff {
-        rayon::join(
-            || rec::<D, E>(ctx, lslice, lseed, depth + 1),
-            || rec::<D, E>(ctx, rslice, rseed, depth + 1),
-        )
-    } else {
-        (
-            rec::<D, E>(ctx, lslice, lseed, depth + 1),
-            rec::<D, E>(ctx, rslice, rseed, depth + 1),
-        )
-    };
-    let ((lnodes, lbounds, lcost, lstats), (rnodes, rbounds, rcost, rstats)) = (lres?, rres?);
-
-    // Merge the child arenas into one postorder node vec: the right
-    // child's node indices shift by the left arena's length, and its leaf
-    // ranges (relative to `rslice`) shift by `nl` to become relative to
-    // this call's slice. The bounds arena is positional (bounds[i] boxes
-    // the subtree rooted at node i), so it concatenates with no rewriting.
-    let node_off = lnodes.len() as u32;
-    let mut nodes = lnodes;
-    nodes.reserve(rnodes.len() + 1);
-    let mut bounds = lbounds;
-    bounds.reserve(rbounds.len() + 1);
-    bounds.extend(rbounds);
-    let mut rnodes = rnodes;
-    let shift = |nd: &mut PartitionNode<D>| match nd {
-        PartitionNode::Internal { left, right, .. } => {
-            *left += node_off;
-            *right += node_off;
-        }
-        PartitionNode::Leaf { start, .. } => *start += nl as u32,
-    };
-    if rnodes.len() >= REMAP_PAR_CUTOFF {
-        rnodes
-            .par_chunks_mut(REMAP_PAR_CHUNK)
-            .for_each(|chunk| chunk.iter_mut().for_each(shift));
-    } else {
-        rnodes.iter_mut().for_each(shift);
-    }
-    nodes.append(&mut rnodes);
-    let l_root = node_off - 1;
-    let r_root = nodes.len() as u32 - 1;
-
-    // ---- Correction (the paper's `Correction` procedure) ----
-    // The child calls permuted their halves but the id *sets* are
-    // unchanged, so shared reborrows of the two halves are exactly the
-    // left/right subsets.
-    let (left, right) = ids.split_at(nl);
-    let t_cc = ctx.obs.start();
-    // ε-mode shrinks each crossing ball's radius by 1/(1+ε) here; the march
-    // caps and the punt-path query tree both read the shrunk radii, so the
-    // whole correction inherits the relaxation from this single site.
-    let eps_scale = eps_radius_scale(ctx.cfg.epsilon);
-    let (cross_l, unbounded_l, skips_l) =
-        collect_crossing(ctx.points, ctx.lists, left, &sep, eps_scale);
-    let (cross_r, unbounded_r, skips_r) =
-        collect_crossing(ctx.points, ctx.lists, right, &sep, eps_scale);
-    ctx.meter.add_precision(0, 0, 0, skips_l + skips_r);
-    correct_unbounded(ctx.soa, ctx.lists, &unbounded_l, right);
-    correct_unbounded(ctx.soa, ctx.lists, &unbounded_r, left);
-    ctx.obs.stop(Phase::CollectCrossing, t_cc);
-
-    let crossing_total = cross_l.len() + cross_r.len();
-    ctx.obs.add_crossing(depth, crossing_total as u64);
-    let threshold = ctx.cfg.punt_threshold(m, D);
-    let crossing_ratio = crossing_total as f64 / threshold;
-
-    let mut stats = lstats.merge(rstats);
-    stats.total_crossing += crossing_total as u64;
-    stats.max_node_crossing = stats.max_node_crossing.max(crossing_total);
-    stats.max_crossing_vs_threshold = stats.max_crossing_vs_threshold.max(crossing_ratio);
-    stats.candidates += found.attempts as u64;
-    match found.outcome {
-        SearchOutcome::Halving => stats.halving_splits += 1,
-        SearchOutcome::Graph => stats.graph_splits += 1,
-        SearchOutcome::Random | SearchOutcome::Fallback => {}
-    }
-    stats.halving_rescues += u64::from(rescued);
-
-    let qseed = punt_seed(seed);
-    // The top-level precision knob is authoritative for the punt path even
-    // when the caller built the config by struct literal and left
-    // `cfg.query` untouched. Its ε stays `cfg.query.epsilon` (0 by
-    // default): the punt tree is built over already-shrunk balls, so a
-    // second relaxation would double-count ε.
-    let qcfg = QueryTreeConfig {
-        precision: ctx.cfg.precision,
-        ..ctx.cfg.query
-    };
-    let punt = |crossing: &[CrossingBall<D>]| {
-        let (cost, fstats) =
-            correct_via_query::<D, E>(ctx.soa, ctx.lists, ids, crossing, qcfg, qseed);
-        ctx.meter.add_precision(
-            fstats.f32_rejects,
-            fstats.f64_confirms,
-            fstats.unsafe_margin_hits,
-            fstats.eps_skips,
-        );
-        cost
-    };
-    let corr_cost = if (crossing_total as f64) >= threshold {
-        // Unlucky separator: punt straight to the query structure.
-        ctx.meter.add_punt();
-        ctx.meter.add_query_build();
-        stats.punts_threshold += 1;
-        ctx.obs.punt(depth);
-        let mut crossing = cross_l;
-        crossing.extend(cross_r);
-        ctx.obs.time(Phase::PuntCorrection, || punt(&crossing))
-    } else {
-        // Fast Correction: march each side's crossers down the opposite
-        // subtree (already merged into `nodes`, leaf ranges indexing this
-        // call's id slice).
-        let limit = ctx.cfg.marching_limit(m);
-        match ctx.obs.time(Phase::FastCorrection, || {
-            try_fast_correction(
-                ctx, &cross_l, &cross_r, &nodes, &bounds, l_root, r_root, ids, limit,
+        // ---- Correction (the paper's `Correction` procedure) ----
+        // The child calls permuted their halves but the id *sets* are
+        // unchanged, so the two halves are exactly the left/right subsets.
+        let (cross_l, cross_r, eps_skips) = self.obs.time(Phase::CollectCrossing, || {
+            collect_both_sides(
+                self.points,
+                self.soa,
+                self.lists,
+                ids,
+                nl,
+                &sep,
+                self.cfg.epsilon,
             )
-        }) {
-            Some((work, max_ratio)) => {
-                ctx.meter.add_fast_correction();
-                stats.fast_corrections += 1;
-                ctx.obs.fast_correction(depth);
-                stats.max_marching_ratio = stats.max_marching_ratio.max(max_ratio);
-                // Lemma 6.3: constant rounds with enough processors — the
-                // march, the gather, and the k-closest fix.
-                CostProfile {
-                    work,
-                    depth: 3,
-                    ..CostProfile::default()
-                }
-            }
-            None => {
-                // March exploded (Lemma 6.2's low-probability event): punt.
-                ctx.meter.add_punt();
-                ctx.meter.add_query_build();
-                stats.punts_marching += 1;
-                ctx.obs.punt(depth);
-                let mut crossing = cross_l;
-                crossing.extend(cross_r);
-                ctx.obs.time(Phase::PuntCorrection, || punt(&crossing))
-            }
-        }
-    };
+        });
+        self.meter.add_precision(0, 0, 0, eps_skips);
 
-    let local = CostProfile::scan(m as u64).with_candidates(found.attempts as u64);
-    let cost = local.then(lcost.alongside(rcost)).then(corr_cost);
-    bounds.push(bounds[l_root as usize].union(&bounds[r_root as usize]));
-    nodes.push(PartitionNode::Internal {
-        sep,
-        size: m as u32,
-        left: l_root,
-        right: r_root,
-    });
-    Ok((nodes, bounds, cost, stats))
+        let crossing_total = cross_l.len() + cross_r.len();
+        self.obs.add_crossing(depth, crossing_total as u64);
+        let threshold = self.cfg.punt_threshold(m, D);
+        let crossing_ratio = crossing_total as f64 / threshold;
+
+        let mut stats = left.stats.merge(right.stats);
+        stats.total_crossing += crossing_total as u64;
+        stats.max_node_crossing = stats.max_node_crossing.max(crossing_total);
+        stats.max_crossing_vs_threshold = stats.max_crossing_vs_threshold.max(crossing_ratio);
+        stats.candidates += node.attempts;
+        match node.outcome {
+            SearchOutcome::Halving => stats.halving_splits += 1,
+            SearchOutcome::Graph => stats.graph_splits += 1,
+            SearchOutcome::Random | SearchOutcome::Fallback => {}
+        }
+        stats.halving_rescues += u64::from(node.rescued);
+
+        let qseed = punt_seed(node.seed);
+        // The top-level precision knob is authoritative for the punt path
+        // even when the caller built the config by struct literal and left
+        // `cfg.query` untouched. Its ε stays `cfg.query.epsilon` (0 by
+        // default): the punt tree is built over already-shrunk balls, so a
+        // second relaxation would double-count ε.
+        let qcfg = QueryTreeConfig {
+            precision: self.cfg.precision,
+            ..self.cfg.query
+        };
+        // Fast Correction unless the separator was unlucky: march each
+        // side's crossers down the opposite subtree (already merged into
+        // `nodes`, leaf ranges indexing this call's id slice). `None`: too
+        // many crossers to try; `Some(None)`: the march exploded (Lemma
+        // 6.2's low-probability event).
+        let marched = ((crossing_total as f64) < threshold).then(|| {
+            let limit = self.cfg.marching_limit(m);
+            self.obs.time(Phase::FastCorrection, || {
+                try_fast_correction(
+                    self, &cross_l, &cross_r, &nodes, &bounds, l_root, r_root, ids, limit,
+                )
+            })
+        });
+        let corr_cost = if let Some(Some((work, max_ratio))) = marched {
+            self.meter.add_fast_correction();
+            stats.fast_corrections += 1;
+            self.obs.fast_correction(depth);
+            stats.max_marching_ratio = stats.max_marching_ratio.max(max_ratio);
+            // Lemma 6.3: constant rounds with enough processors — the
+            // march, the gather, and the k-closest fix.
+            CostProfile {
+                work,
+                depth: 3,
+                ..CostProfile::default()
+            }
+        } else {
+            // Punt to the query structure.
+            self.meter.add_punt();
+            self.meter.add_query_build();
+            if marched.is_some() {
+                stats.punts_marching += 1;
+            } else {
+                stats.punts_threshold += 1;
+            }
+            self.obs.punt(depth);
+            let mut crossing = cross_l;
+            crossing.extend(cross_r);
+            self.obs.time(Phase::PuntCorrection, || {
+                let (cost, fstats) =
+                    correct_via_query::<D, E>(self.soa, self.lists, ids, &crossing, qcfg, qseed);
+                self.meter.add_precision(
+                    fstats.f32_rejects,
+                    fstats.f64_confirms,
+                    fstats.unsafe_margin_hits,
+                    fstats.eps_skips,
+                );
+                cost
+            })
+        };
+
+        let local = CostProfile::scan(m as u64).with_candidates(node.attempts);
+        let cost = local.then(left.cost.alongside(right.cost)).then(corr_cost);
+        bounds.push(bounds[l_root as usize].union(&bounds[r_root as usize]));
+        nodes.push(PartitionNode::Internal {
+            sep,
+            size: m as u32,
+            left: l_root,
+            right: r_root,
+        });
+        Subtree {
+            nodes,
+            bounds,
+            cost,
+            stats,
+        }
+    }
 }
 
 /// March both crossing sets down the opposite subtrees and merge the
@@ -1005,7 +840,7 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_one_sided_separator_forces_leaf() {
+    fn degenerate_one_sided_separator_is_rescued() {
         // Regression for the release-mode infinite recursion: the separator
         // search accepts by *tolerance-counted* split (`side_with_tol` with
         // `cfg.separator.tol`), but the recursion routes by strict `side()`
@@ -1038,35 +873,8 @@ mod tests {
             "precondition lost: routing is two-sided (nl = {nl}); re-run the seed search"
         );
 
-        let out = parallel_knn::<2, 3>(&pts, &cfg);
-        assert!(
-            out.stats.degenerate_splits >= 1,
-            "degenerate split not taken: {:?}",
-            out.stats
-        );
-        out.knn
-            .same_distances(&brute_force_knn(&pts, 1), 1e-12)
-            .unwrap();
-        out.knn.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn halving_backend_rescues_pinned_degenerate_case() {
-        // The exact setup of `degenerate_one_sided_separator_forces_leaf`
-        // (seed=5028, tol=0.5): under the default backend the root's
-        // accepted separator routes one-sided and the recursion forces a
-        // brute leaf. The `halving` backend's rescue must instead re-split
-        // with the deterministic halving cut, leaving no degenerate leaves
-        // at all — and the answers must still match the oracle.
-        let pts = Workload::UniformCube.generate::<2>(64, 0);
-        let mut cfg = KnnDcConfig::new(1)
-            .with_seed(5028)
-            .with_splitter(crate::splitter::SplitterKind::Halving);
-        cfg.base_case = Some(16);
-        cfg.separator.tol = 0.5;
-        cfg.separator.epsilon = 0.2;
-        cfg.separator.max_attempts = 1;
-
+        // The driver's halving rescue re-splits the node instead of
+        // forcing a brute leaf, and the answers still match the oracle.
         let out = parallel_knn::<2, 3>(&pts, &cfg);
         assert!(
             out.stats.halving_rescues >= 1,
@@ -1082,7 +890,6 @@ mod tests {
             .same_distances(&brute_force_knn(&pts, 1), 1e-12)
             .unwrap();
         out.knn.check_invariants().unwrap();
-        // The report carries the rescue counter.
         assert_eq!(
             out.report.counter("stats.halving_rescues"),
             Some(out.stats.halving_rescues as f64)
@@ -1090,7 +897,7 @@ mod tests {
     }
 
     #[test]
-    fn alternative_backends_match_oracle_on_degenerate_workloads() {
+    fn every_backend_matches_oracle_on_degenerate_workloads() {
         use crate::splitter::SplitterKind;
         use rand::SeedableRng;
         use sepdc_workloads::degenerate::{duplicate_bundles, tolerance_band_cluster};
@@ -1109,7 +916,7 @@ mod tests {
         ];
         for (name, pts) in &workloads {
             let oracle = brute_force_knn(pts, 2);
-            for kind in [SplitterKind::Halving, SplitterKind::Graph] {
+            for kind in [SplitterKind::Random, SplitterKind::Graph] {
                 let cfg = KnnDcConfig::new(2).with_seed(11).with_splitter(kind);
                 let out = parallel_knn::<2, 3>(pts, &cfg);
                 out.knn
@@ -1121,7 +928,7 @@ mod tests {
         // all_coincident: no backend can split, but all must stay correct.
         let same = sepdc_workloads::degenerate::all_coincident::<2>(200, 2.5);
         let oracle = brute_force_knn(&same, 2);
-        for kind in [SplitterKind::Halving, SplitterKind::Graph] {
+        for kind in [SplitterKind::Random, SplitterKind::Graph] {
             let cfg = KnnDcConfig::new(2).with_splitter(kind);
             let out = parallel_knn::<2, 3>(&same, &cfg);
             out.knn.same_distances(&oracle, 0.0).unwrap();

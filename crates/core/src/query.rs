@@ -14,9 +14,9 @@
 //! rounds w.h.p. (Theorem 3.1).
 
 use crate::config::{eps_cover_scale, Precision};
+use crate::dc::{Driver, Engine, Leaf, Node, Rule};
 use crate::error::{validate_points, SepdcError};
-use crate::report::{cost_counters, Phase, RunRecorder, RunReport};
-use crate::seeding::child_seed;
+use crate::report::{cost_counters, stats_counters, RunRecorder, RunReport};
 use crate::splitter::{splitter_for, SplitterKind};
 use rayon::prelude::*;
 use sepdc_geom::ball::Ball;
@@ -26,9 +26,9 @@ use sepdc_geom::soa::{FilterStats, SoaBalls};
 use sepdc_scan::CostProfile;
 use sepdc_separator::{SearchOutcome, SeparatorConfig};
 
-/// Minimum node size before the centers gather and the ball-routing side
-/// tests run in parallel. Both parallel paths are positionally identical
-/// to their serial twins, so the cutoff moves wall-clock only.
+/// Minimum node size before the ball-routing side tests run in parallel.
+/// The parallel path is positionally identical to its serial twin, so the
+/// cutoff moves wall-clock only.
 const ROUTE_PAR_CUTOFF: usize = 1 << 14;
 
 /// Build parameters for the query structure.
@@ -117,6 +117,14 @@ pub struct QueryTreeStats {
     pub forced_leaves: usize,
 }
 
+impl QueryTreeStats {
+    /// The `stats.*` run-report counters, one per field.
+    fn counters(&self) -> Vec<(String, f64)> {
+        stats_counters!(self;
+            height, leaves, internals, stored_balls, candidates, fallbacks, forced_leaves)
+    }
+}
+
 /// The search structure.
 pub struct QueryTree<const D: usize> {
     root: QNode<D>,
@@ -136,9 +144,10 @@ pub struct QueryTree<const D: usize> {
     epsilon: f64,
 }
 
+/// The Section 3 engine: ball leaves, duplicating routing, and node
+/// assembly.
 struct BuildCtx<'a, const D: usize> {
     balls: &'a [Ball<D>],
-    cfg: &'a QueryTreeConfig,
     obs: &'a RunRecorder,
 }
 
@@ -200,35 +209,23 @@ impl<const D: usize> QueryTree<D> {
             return Err(SepdcError::NonFiniteBall { idx });
         }
         let t_run = std::time::Instant::now();
-        let ids: Vec<u32> = (0..balls.len() as u32).collect();
-        // Depth cap: accepted δ-splits keep the height O(log n); the
-        // recorder clamps anything deeper into its last cell.
-        let depth_cap = 8 * ((balls.len().max(2) as f64).log2().ceil() as usize) + 64;
-        let obs = RunRecorder::new(cfg.record, depth_cap);
-        let ctx = BuildCtx {
-            balls,
-            cfg: &cfg,
+        let mut ids: Vec<u32> = (0..balls.len() as u32).collect();
+        // Automatic depth guard: accepted δ-splits keep the height
+        // O(log n), so only degenerate routing can reach it.
+        let depth_limit = 8 * ((balls.len().max(2) as f64).log2().ceil() as usize) + 64;
+        let obs = RunRecorder::new(cfg.record, depth_limit);
+        let driver = Driver {
+            rule: Rule::Backend(splitter_for::<D, E>(cfg.splitter)),
+            sep: &cfg.separator,
             obs: &obs,
+            meter: None,
+            leaf_size: cfg.leaf_size,
+            depth_limit,
+            strict_depth: false,
+            parallel_cutoff: cfg.parallel_cutoff,
         };
-        let built = build_rec::<D, E>(&ctx, ids, seed, 0);
-        let mut counters = vec![
-            ("stats.height".to_string(), built.stats.height as f64),
-            ("stats.leaves".to_string(), built.stats.leaves as f64),
-            ("stats.internals".to_string(), built.stats.internals as f64),
-            (
-                "stats.stored_balls".to_string(),
-                built.stats.stored_balls as f64,
-            ),
-            (
-                "stats.candidates".to_string(),
-                built.stats.candidates as f64,
-            ),
-            ("stats.fallbacks".to_string(), built.stats.fallbacks as f64),
-            (
-                "stats.forced_leaves".to_string(),
-                built.stats.forced_leaves as f64,
-            ),
-        ];
+        let built = driver.run(&BuildCtx { balls, obs: &obs }, &mut ids, seed, 0)?;
+        let mut counters = built.stats.counters();
         counters.extend(cost_counters(&built.cost));
         let report = RunReport {
             version: crate::report::RUN_REPORT_VERSION,
@@ -411,18 +408,7 @@ impl<const D: usize> QueryTree<D> {
         epsilon: f64,
         load_elapsed: std::time::Duration,
     ) -> Self {
-        let mut counters = vec![
-            ("stats.height".to_string(), stats.height as f64),
-            ("stats.leaves".to_string(), stats.leaves as f64),
-            ("stats.internals".to_string(), stats.internals as f64),
-            ("stats.stored_balls".to_string(), stats.stored_balls as f64),
-            ("stats.candidates".to_string(), stats.candidates as f64),
-            ("stats.fallbacks".to_string(), stats.fallbacks as f64),
-            (
-                "stats.forced_leaves".to_string(),
-                stats.forced_leaves as f64,
-            ),
-        ];
+        let mut counters = stats.counters();
         counters.extend(cost_counters(&cost));
         let report = RunReport {
             version: crate::report::RUN_REPORT_VERSION,
@@ -508,177 +494,95 @@ impl<const D: usize> QueryTree<D> {
     }
 }
 
-fn leaf_stats(ids_len: usize, forced: bool) -> QueryTreeStats {
-    QueryTreeStats {
-        height: 0,
-        leaves: 1,
-        internals: 0,
-        stored_balls: ids_len,
-        candidates: 0,
-        fallbacks: 0,
-        forced_leaves: usize::from(forced),
-    }
-}
+impl<const D: usize, const E: usize> Engine<D, E> for BuildCtx<'_, D> {
+    type Routed = (Vec<u32>, Vec<u32>);
+    type Out = Built<D>;
 
-fn merge_stats(
-    a: QueryTreeStats,
-    b: QueryTreeStats,
-    candidates: u64,
-    fallback: bool,
-) -> QueryTreeStats {
-    QueryTreeStats {
-        height: 1 + a.height.max(b.height),
-        leaves: a.leaves + b.leaves,
-        internals: 1 + a.internals + b.internals,
-        stored_balls: a.stored_balls + b.stored_balls,
-        candidates: a.candidates + b.candidates + candidates,
-        fallbacks: a.fallbacks + b.fallbacks + usize::from(fallback),
-        forced_leaves: a.forced_leaves + b.forced_leaves,
+    fn center(&self, id: u32) -> Point<D> {
+        self.balls[id as usize].center
     }
-}
 
-fn build_rec<const D: usize, const E: usize>(
-    ctx: &BuildCtx<'_, D>,
-    ids: Vec<u32>,
-    seed: u64,
-    depth: usize,
-) -> Built<D> {
-    let m = ids.len();
-    ctx.obs.node(depth);
-    if m <= ctx.cfg.leaf_size {
-        ctx.obs.leaf(depth);
-        return Built {
-            node: QNode::Leaf { ball_ids: ids },
-            stats: leaf_stats(m, false),
+    fn leaf(&self, ids: &[u32], kind: Leaf) -> Built<D> {
+        let m = ids.len();
+        Built {
+            node: QNode::Leaf {
+                ball_ids: ids.to_vec(),
+            },
+            stats: QueryTreeStats {
+                leaves: 1,
+                stored_balls: m,
+                forced_leaves: kind.counts().0,
+                ..QueryTreeStats::default()
+            },
             cost: CostProfile::round(m as u64),
-        };
+        }
     }
-    let t_split = ctx.obs.start();
-    let centers: Vec<Point<D>> = if m >= ROUTE_PAR_CUTOFF {
-        ids.par_iter()
-            .map(|&i| ctx.balls[i as usize].center)
-            .collect()
-    } else {
-        ids.iter().map(|&i| ctx.balls[i as usize].center).collect()
-    };
-    // Split decision through the configured backend; for the default
-    // `RandomSphere` this is the speculative candidate sweep (lowest
-    // acceptable index wins), timed as a sub-interval of the split —
-    // identical output for any pool size.
-    let sp = splitter_for::<D, E>(ctx.cfg.splitter);
-    let found = ctx.obs.time(Phase::SeparatorSearch, || {
-        sp.split(&centers, &ctx.cfg.separator, seed)
-    });
-    let Some(found) = found else {
-        // Unsplittable (e.g. all centers identical): oversized leaf.
-        ctx.obs.stop(Phase::Split, t_split);
-        ctx.obs.leaf(depth);
-        return Built {
-            node: QNode::Leaf { ball_ids: ids },
-            stats: leaf_stats(m, true),
-            cost: CostProfile::round(m as u64),
+
+    /// Closed-interior contact goes left, closed-exterior goes right;
+    /// crossers go both ways (B₀ = B_I ∪ B_O, B₁ = B_E ∪ B_O). The side
+    /// tests are the expensive part: large nodes precompute them in
+    /// parallel (order-preserving collect), then push serially so the
+    /// children receive ids in the identical order for every pool size.
+    fn route(&self, ids: &mut [u32], sep: &Separator<D>) -> Option<(Vec<u32>, Vec<u32>)> {
+        let sides = |i: &u32| {
+            let b = &self.balls[*i as usize];
+            (b.touches_interior_of(sep), b.touches_exterior_of(sep))
         };
-    };
-    ctx.obs.add_candidates(depth, found.attempts as u64);
-    let mut sep = found.separator;
-    // Route balls: closed-interior contact goes left, closed-exterior goes
-    // right; crossers go both ways (B₀ = B_I ∪ B_O, B₁ = B_E ∪ B_O). The
-    // side tests are the expensive part; precompute them in parallel for
-    // large nodes (order-preserving collect), then push serially so the
-    // children receive ids in the identical order for every pool size.
-    let route = |sep: &Separator<D>| -> (Vec<u32>, Vec<u32>) {
-        let mut left_ids = Vec::new();
-        let mut right_ids = Vec::new();
-        if m >= ROUTE_PAR_CUTOFF {
-            let sides: Vec<(bool, bool)> = ids
-                .par_iter()
-                .map(|&i| {
-                    let b = &ctx.balls[i as usize];
-                    (b.touches_interior_of(sep), b.touches_exterior_of(sep))
-                })
-                .collect();
-            for (&i, &(l, r)) in ids.iter().zip(&sides) {
-                debug_assert!(l || r, "ball reaches no side of the separator");
-                if l {
-                    left_ids.push(i);
-                }
-                if r {
-                    right_ids.push(i);
-                }
-            }
+        let flags: Vec<(bool, bool)> = if ids.len() >= ROUTE_PAR_CUTOFF {
+            ids.par_iter().map(sides).collect()
         } else {
-            for &i in &ids {
-                let b = &ctx.balls[i as usize];
-                let l = b.touches_interior_of(sep);
-                let r = b.touches_exterior_of(sep);
-                debug_assert!(l || r, "ball reaches no side of the separator");
-                if l {
-                    left_ids.push(i);
-                }
-                if r {
-                    right_ids.push(i);
-                }
-            }
-        }
-        (left_ids, right_ids)
-    };
-    let (mut left_ids, mut right_ids) = route(&sep);
-    if left_ids.len() >= m || right_ids.len() >= m {
-        // No progress (every ball crosses): before giving up, let the
-        // backend offer a deterministic second-chance cut, exactly as in
-        // the Section 6 recursion.
-        if let Some(rsep) = sp.rescue(&centers) {
-            let (rl, rr) = route(&rsep);
-            if rl.len() < m && rr.len() < m {
-                sep = rsep;
-                left_ids = rl;
-                right_ids = rr;
-            }
-        }
-    }
-    ctx.obs.stop(Phase::Split, t_split);
-    if left_ids.len() >= m || right_ids.len() >= m {
-        // Still no progress: oversized leaf. With k-ply systems and good
-        // separators this fires only on adversarial degenerate inputs.
-        ctx.obs.leaf(depth);
-        return Built {
-            node: QNode::Leaf { ball_ids: ids },
-            stats: leaf_stats(m, true),
-            cost: CostProfile::round(m as u64),
+            ids.iter().map(sides).collect()
         };
+        let (mut left, mut right) = (Vec::new(), Vec::new());
+        for (&i, &(l, r)) in ids.iter().zip(&flags) {
+            debug_assert!(l || r, "ball reaches no side of the separator");
+            if l {
+                left.push(i);
+            }
+            if r {
+                right.push(i);
+            }
+        }
+        // No progress when every ball crosses into one side's list.
+        (left.len() < ids.len() && right.len() < ids.len()).then_some((left, right))
     }
-    // Ball references duplicated into both subtrees = the crossing set
-    // B_O(S) at this node.
-    ctx.obs
-        .add_crossing(depth, (left_ids.len() + right_ids.len() - m) as u64);
-    let fallback = found.outcome == SearchOutcome::Fallback;
-    let attempts = found.attempts as u64;
-    // Path-derived sibling seeds (see [`crate::seeding`]): independent of
-    // which thread builds which subtree.
-    let (lseed, rseed) = (child_seed(seed, false), child_seed(seed, true));
-    let (lb, rb) = if m > ctx.cfg.parallel_cutoff {
-        rayon::join(
-            || build_rec::<D, E>(ctx, left_ids, lseed, depth + 1),
-            || build_rec::<D, E>(ctx, right_ids, rseed, depth + 1),
-        )
-    } else {
-        (
-            build_rec::<D, E>(ctx, left_ids, lseed, depth + 1),
-            build_rec::<D, E>(ctx, right_ids, rseed, depth + 1),
-        )
-    };
-    // Cost: the candidate rounds plus one scan (the split) at this node,
-    // then the two children in parallel.
-    let local = CostProfile::scan(m as u64).with_candidates(attempts);
-    let cost = local.then(lb.cost.alongside(rb.cost));
-    Built {
-        node: QNode::Internal {
-            sep,
-            left: Box::new(lb.node),
-            right: Box::new(rb.node),
-        },
-        stats: merge_stats(lb.stats, rb.stats, attempts, fallback),
-        cost,
+
+    fn combine(
+        &self,
+        ids: &[u32],
+        (left_ids, right_ids): (Vec<u32>, Vec<u32>),
+        node: Node<D>,
+        lb: Built<D>,
+        rb: Built<D>,
+    ) -> Built<D> {
+        // Ball references duplicated into both subtrees = the crossing set
+        // B_O(S) at this node.
+        let m = ids.len();
+        self.obs
+            .add_crossing(node.depth, (left_ids.len() + right_ids.len() - m) as u64);
+        // Cost: the candidate rounds plus one scan (the split) at this
+        // node, then the two children in parallel.
+        let local = CostProfile::scan(m as u64).with_candidates(node.attempts);
+        let (a, b) = (lb.stats, rb.stats);
+        Built {
+            node: QNode::Internal {
+                sep: node.sep,
+                left: Box::new(lb.node),
+                right: Box::new(rb.node),
+            },
+            stats: QueryTreeStats {
+                height: 1 + a.height.max(b.height),
+                leaves: a.leaves + b.leaves,
+                internals: 1 + a.internals + b.internals,
+                stored_balls: a.stored_balls + b.stored_balls,
+                candidates: a.candidates + b.candidates + node.attempts,
+                fallbacks: a.fallbacks
+                    + b.fallbacks
+                    + usize::from(node.outcome == SearchOutcome::Fallback),
+                forced_leaves: a.forced_leaves + b.forced_leaves,
+            },
+            cost: local.then(lb.cost.alongside(rb.cost)),
+        }
     }
 }
 
@@ -839,6 +743,26 @@ mod tests {
         assert!(tree.stats().forced_leaves >= 1);
         assert_eq!(tree.covering(&Point::splat(1.0)).len(), 200);
         assert!(tree.covering(&Point::splat(9.0)).is_empty());
+    }
+
+    #[test]
+    fn one_sided_cut_is_rescued_instead_of_forcing_a_leaf() {
+        // Found by offline search: one node of this build accepts a sphere
+        // that sends every ball into one child's list. Without the
+        // driver's halving rescue that node would be an oversized forced
+        // leaf.
+        let (pts, sys) = knn_system(150, 4, 11);
+        let tree = QueryTree::build::<3>(sys.balls(), QueryTreeConfig::default(), 11);
+        assert_eq!(tree.stats().forced_leaves, 0, "{:?}", tree.stats());
+        let probes = Workload::UniformCube.generate::<2>(100, 12);
+        for p in pts.iter().chain(&probes) {
+            let mut fast = tree.covering(p);
+            fast.sort_unstable();
+            let slow: Vec<u32> = (0..sys.balls().len() as u32)
+                .filter(|&i| sys.balls()[i as usize].contains(p))
+                .collect();
+            assert_eq!(fast, slow, "covering mismatch at {p:?}");
+        }
     }
 
     #[test]

@@ -377,6 +377,15 @@ pub fn precision_counters(s: &sepdc_geom::soa::FilterStats) -> Vec<(String, f64)
     ]
 }
 
+/// `stats.<field>` counters of a stats struct, one per named field, in
+/// the order given.
+macro_rules! stats_counters {
+    ($stats:expr; $($field:ident),+ $(,)?) => {
+        vec![$((concat!("stats.", stringify!($field)).to_string(), $stats.$field as f64)),+]
+    };
+}
+pub(crate) use stats_counters;
+
 /// Counters of a [`CostProfile`] under the `cost.` prefix.
 pub fn cost_counters(c: &CostProfile) -> Vec<(String, f64)> {
     vec![

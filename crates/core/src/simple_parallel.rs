@@ -14,18 +14,21 @@
 //! motivate Section 6: on hyperplane-adversarial inputs a single cut is
 //! crossed by `Ω(n)` balls.
 
-use crate::config::{eps_radius_scale, KnnDcConfig};
-use crate::correction::{collect_crossing, correct_unbounded, correct_via_query};
+use crate::config::KnnDcConfig;
+use crate::correction::{collect_both_sides, correct_via_query};
+use crate::dc::{partition_points, Driver, Engine, Leaf, Node, Rule};
 use crate::error::{validate_points, SepdcError};
 use crate::knn::{brute_list_soa_into, KnnResult};
-use crate::parallel::config_echo;
-use crate::partition_tree::partition_in_place;
+use crate::parallel::knn_report;
 use crate::query::QueryTreeConfig;
-use crate::report::{cost_counters, precision_counters, Phase, RunRecorder, RunReport};
+use crate::report::{
+    cost_counters, precision_counters, stats_counters, Phase, RunRecorder, RunReport,
+};
+use crate::seeding::punt_seed;
 use crate::shared::SharedLists;
-use crate::splitter::splitter_for;
-use sepdc_geom::soa::FilterStats;
 use sepdc_geom::point::Point;
+use sepdc_geom::shape::Separator;
+use sepdc_geom::soa::{FilterStats, SoaPoints};
 use sepdc_scan::CostProfile;
 
 /// Statistics from one run of the Section 5 algorithm.
@@ -53,12 +56,22 @@ pub struct SimpleDcStats {
 }
 
 impl SimpleDcStats {
-    fn leaf(forced: bool) -> Self {
+    fn leaf(kind: Leaf) -> Self {
+        let (forced_leaves, degenerate_splits, depth_forced_leaves) = kind.counts();
         SimpleDcStats {
             base_leaves: 1,
-            forced_leaves: usize::from(forced),
+            forced_leaves,
+            degenerate_splits,
+            depth_forced_leaves,
             ..Default::default()
         }
+    }
+
+    /// The `stats.*` run-report counters, one per field.
+    fn counters(&self) -> Vec<(String, f64)> {
+        stats_counters!(self;
+            height, total_crossing, max_node_crossing, max_crossing_fraction,
+            base_leaves, forced_leaves, degenerate_splits, depth_forced_leaves)
     }
 
     fn merge(self, other: Self, node_crossing: usize, node_size: usize) -> Self {
@@ -97,21 +110,16 @@ pub struct SimpleDcOutput {
     pub report: RunReport,
 }
 
+/// The Section 5 engine: leaf solves, in-place routing, and the
+/// query-structure correction.
 struct Ctx<'a, const D: usize> {
     points: &'a [Point<D>],
     /// Column-major copy of `points` for the batched leaf-solve and
     /// unbounded-correction kernels.
-    soa: &'a sepdc_geom::SoaPoints<D>,
+    soa: &'a SoaPoints<D>,
     lists: &'a SharedLists,
     cfg: &'a KnnDcConfig,
     obs: &'a RunRecorder,
-    base: usize,
-    /// Depth at which the recursion stops subdividing.
-    depth_limit: usize,
-    /// `true` when `depth_limit` came from an explicit
-    /// [`KnnDcConfig::max_depth`]: exceeding it errors instead of forcing
-    /// a leaf.
-    strict_depth: bool,
 }
 
 /// Section 5: hyperplane divide and conquer with query-structure
@@ -144,213 +152,116 @@ pub fn try_simple_parallel_knn<const D: usize, const E: usize>(
     let t_run = std::time::Instant::now();
     let n = points.len();
     let lists = SharedLists::new(n, cfg.k);
-    let base = cfg.resolve_base_case(n, D);
-    let depth_limit = cfg.resolve_depth_limit(n);
-    let obs = RunRecorder::new(cfg.record, depth_limit);
-    let soa = sepdc_geom::SoaPoints::from_points(points);
+    let obs = RunRecorder::new(cfg.record, cfg.resolve_depth_limit(n));
+    let soa = SoaPoints::from_points(points);
     let ctx = Ctx {
         points,
         soa: &soa,
         lists: &lists,
         cfg,
         obs: &obs,
-        base,
-        depth_limit,
-        strict_depth: cfg.max_depth.is_some(),
     };
+    let driver = Driver::<D, E>::for_knn(cfg, n, Rule::MedianCycling, &obs, None);
     // Permutation arena: the recursion partitions this buffer in place and
     // hands each recursive call a disjoint `&mut` slice — no per-level
     // id-set clones.
     let mut perm: Vec<u32> = (0..n as u32).collect();
-    let (cost, stats, fstats) = rec::<D, E>(&ctx, &mut perm, cfg.seed, 0)?;
-    let mut counters = vec![
-        ("stats.height".to_string(), stats.height as f64),
-        (
-            "stats.total_crossing".to_string(),
-            stats.total_crossing as f64,
-        ),
-        (
-            "stats.max_node_crossing".to_string(),
-            stats.max_node_crossing as f64,
-        ),
-        (
-            "stats.max_crossing_fraction".to_string(),
-            stats.max_crossing_fraction,
-        ),
-        ("stats.base_leaves".to_string(), stats.base_leaves as f64),
-        (
-            "stats.forced_leaves".to_string(),
-            stats.forced_leaves as f64,
-        ),
-        (
-            "stats.degenerate_splits".to_string(),
-            stats.degenerate_splits as f64,
-        ),
-        (
-            "stats.depth_forced_leaves".to_string(),
-            stats.depth_forced_leaves as f64,
-        ),
-    ];
+    let (cost, stats, fstats) = driver.run(&ctx, &mut perm, cfg.seed, 0)?;
+    let mut counters = stats.counters();
     counters.extend(cost_counters(&cost));
     counters.extend(precision_counters(&fstats));
-    let report = RunReport {
-        version: crate::report::RUN_REPORT_VERSION,
-        algo: "simple".to_string(),
-        dim: D,
-        n,
-        k: cfg.k,
-        seed: cfg.seed,
-        threads: rayon::current_num_threads(),
-        wall_ms: 0.0,
-        config: config_echo(cfg, base, depth_limit, D),
-        phases: obs.phases(),
-        counters,
-        depth: obs.depth_rows(),
-    }
-    .finish(t_run.elapsed());
     Ok(SimpleDcOutput {
         knn: lists.into_result(),
         cost,
         stats,
-        report,
+        report: knn_report("simple", cfg, n, &driver, counters, t_run),
     })
 }
 
-fn rec<const D: usize, const E: usize>(
-    ctx: &Ctx<'_, D>,
-    ids: &mut [u32],
-    seed: u64,
-    depth: usize,
-) -> Result<(CostProfile, SimpleDcStats, FilterStats), SepdcError> {
-    let m = ids.len();
-    ctx.obs.node(depth);
-    if m <= ctx.base {
-        solve_subset_into(ctx, ids, depth);
-        return Ok((
-            CostProfile::rounds(m as u64, m as u64),
-            SimpleDcStats::leaf(false),
-            FilterStats::default(),
-        ));
+impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
+    type Routed = usize;
+    type Out = (CostProfile, SimpleDcStats, FilterStats);
+
+    fn center(&self, id: u32) -> Point<D> {
+        self.points[id as usize]
     }
-    if depth >= ctx.depth_limit {
-        // Median cuts shrink both sides every level, so only degenerate
-        // routing can reach this depth; absorb into a brute-force leaf (or
-        // error, in strict mode) rather than recurse further.
-        if ctx.strict_depth {
-            return Err(SepdcError::RecursionDepthExceeded {
-                limit: ctx.depth_limit,
-            });
+
+    fn leaf(&self, ids: &[u32], kind: Leaf) -> Self::Out {
+        let t0 = self.obs.start();
+        // Straight into the shared store through one reused scratch
+        // buffer; an n-point scratch KnnResult here would cost O(n) per
+        // leaf (O(n²/base) across the recursion).
+        let k = self.lists.k();
+        let mut scratch = Vec::with_capacity(k + 1);
+        let mut dists = Vec::with_capacity(ids.len());
+        for &i in ids {
+            brute_list_soa_into(self.soa, i, ids, k, &mut dists, &mut scratch);
+            self.lists.set_list(i as usize, &scratch);
         }
-        solve_subset_into(ctx, ids, depth);
-        let mut stats = SimpleDcStats::leaf(true);
-        stats.depth_forced_leaves = 1;
-        return Ok((
-            CostProfile::rounds(m as u64, m as u64),
-            stats,
-            FilterStats::default(),
-        ));
-    }
-    let t_split = ctx.obs.start();
-    let subset_points: Vec<Point<D>> = ids.iter().map(|&i| ctx.points[i as usize]).collect();
-    let sp = splitter_for::<D, E>(ctx.cfg.splitter);
-    let Some(sep) = sp.median_split(&subset_points, depth) else {
-        // All points identical: brute leaf.
-        ctx.obs.stop(Phase::Split, t_split);
-        solve_subset_into(ctx, ids, depth);
-        return Ok((
-            CostProfile::rounds(m as u64, m as u64),
-            SimpleDcStats::leaf(true),
-            FilterStats::default(),
-        ));
-    };
-    let nl = partition_in_place(ids, |i| sep.side(&ctx.points[i as usize]).routes_interior());
-    ctx.obs.stop(Phase::Split, t_split);
-    if nl == 0 || nl == m {
-        // The cut routed every point to one side: brute leaf instead of
-        // recursing on an unshrunk slice.
-        solve_subset_into(ctx, ids, depth);
-        let mut stats = SimpleDcStats::leaf(true);
-        stats.degenerate_splits = 1;
-        return Ok((
-            CostProfile::rounds(m as u64, m as u64),
-            stats,
-            FilterStats::default(),
-        ));
-    }
-
-    // Path-derived sibling seeds (see [`crate::seeding`]).
-    let lseed = crate::seeding::child_seed(seed, false);
-    let rseed = crate::seeding::child_seed(seed, true);
-    let (lslice, rslice) = ids.split_at_mut(nl);
-    let (lres, rres) = if m > ctx.cfg.parallel_cutoff {
-        rayon::join(
-            || rec::<D, E>(ctx, lslice, lseed, depth + 1),
-            || rec::<D, E>(ctx, rslice, rseed, depth + 1),
-        )
-    } else {
+        self.obs.stop(Phase::LeafSolve, t0);
+        let m = ids.len() as u64;
         (
-            rec::<D, E>(ctx, lslice, lseed, depth + 1),
-            rec::<D, E>(ctx, rslice, rseed, depth + 1),
+            CostProfile::rounds(m, m),
+            SimpleDcStats::leaf(kind),
+            FilterStats::default(),
         )
-    };
-    let ((lcost, lstats, lf), (rcost, rstats, rf)) = (lres?, rres?);
-
-    // Correction: query structure over all crossing balls (both sides).
-    // The child calls permuted their halves but the id sets are unchanged.
-    // ε-mode shrinks the crossing radii here exactly as in the Section 6
-    // recursion; the query tree then indexes the shrunk balls.
-    let (left, right) = ids.split_at(nl);
-    let t_cc = ctx.obs.start();
-    let eps_scale = eps_radius_scale(ctx.cfg.epsilon);
-    let (mut crossing, unbounded_l, skips_l) =
-        collect_crossing(ctx.points, ctx.lists, left, &sep, eps_scale);
-    let (cross_r, unbounded_r, skips_r) =
-        collect_crossing(ctx.points, ctx.lists, right, &sep, eps_scale);
-    crossing.extend(cross_r);
-    correct_unbounded(ctx.soa, ctx.lists, &unbounded_l, right);
-    correct_unbounded(ctx.soa, ctx.lists, &unbounded_r, left);
-    ctx.obs.stop(Phase::CollectCrossing, t_cc);
-    let node_crossing = crossing.len();
-    ctx.obs.add_crossing(depth, node_crossing as u64);
-    let qseed = crate::seeding::punt_seed(seed);
-    // The top-level precision knob is authoritative even for struct-literal
-    // configs whose `query` sub-config was left untouched; ε stays
-    // `cfg.query.epsilon` because the balls above are already shrunk.
-    let qcfg = QueryTreeConfig {
-        precision: ctx.cfg.precision,
-        ..ctx.cfg.query
-    };
-    // Every internal node corrects through the query structure here (the
-    // Section 5 combine step), so its time lands in the same
-    // `punt-correction` phase the Section 6 punt path uses.
-    let (corr_cost, corr_stats) = ctx.obs.time(Phase::PuntCorrection, || {
-        correct_via_query::<D, E>(ctx.soa, ctx.lists, ids, &crossing, qcfg, qseed)
-    });
-
-    let local = CostProfile::scan(m as u64); // the split
-    let cost = local.then(lcost.alongside(rcost)).then(corr_cost);
-    let stats = lstats.merge(rstats, node_crossing, m);
-    let mut fstats = lf;
-    fstats.merge(&rf);
-    fstats.merge(&corr_stats);
-    fstats.eps_skips += skips_l + skips_r;
-    Ok((cost, stats, fstats))
-}
-
-fn solve_subset_into<const D: usize>(ctx: &Ctx<'_, D>, ids: &[u32], depth: usize) {
-    let t0 = ctx.obs.start();
-    // Straight into the shared store through one reused scratch buffer; an
-    // n-point scratch KnnResult here would cost O(n) per leaf (O(n²/base)
-    // across the recursion).
-    let k = ctx.lists.k();
-    let mut scratch = Vec::with_capacity(k + 1);
-    let mut dists = Vec::with_capacity(ids.len());
-    for &i in ids {
-        brute_list_soa_into(ctx.soa, i, ids, k, &mut dists, &mut scratch);
-        ctx.lists.set_list(i as usize, &scratch);
     }
-    ctx.obs.stop(Phase::LeafSolve, t0);
-    ctx.obs.leaf(depth);
+
+    fn route(&self, ids: &mut [u32], sep: &Separator<D>) -> Option<usize> {
+        partition_points(self.points, ids, sep)
+    }
+
+    fn combine(
+        &self,
+        ids: &[u32],
+        nl: usize,
+        node: Node<D>,
+        (lcost, lstats, lf): Self::Out,
+        (rcost, rstats, rf): Self::Out,
+    ) -> Self::Out {
+        let m = ids.len();
+        // Correction: query structure over all crossing balls (both
+        // sides). The child calls permuted their halves but the id sets
+        // are unchanged.
+        let (mut crossing, cross_r, eps_skips) = self.obs.time(Phase::CollectCrossing, || {
+            collect_both_sides(
+                self.points,
+                self.soa,
+                self.lists,
+                ids,
+                nl,
+                &node.sep,
+                self.cfg.epsilon,
+            )
+        });
+        crossing.extend(cross_r);
+        let node_crossing = crossing.len();
+        self.obs.add_crossing(node.depth, node_crossing as u64);
+        let qseed = punt_seed(node.seed);
+        // The top-level precision knob is authoritative even for
+        // struct-literal configs whose `query` sub-config was left
+        // untouched; ε stays `cfg.query.epsilon` because the balls above
+        // are already shrunk.
+        let qcfg = QueryTreeConfig {
+            precision: self.cfg.precision,
+            ..self.cfg.query
+        };
+        // Every internal node corrects through the query structure here
+        // (the Section 5 combine step), so its time lands in the same
+        // `punt-correction` phase the Section 6 punt path uses.
+        let (corr_cost, corr_stats) = self.obs.time(Phase::PuntCorrection, || {
+            correct_via_query::<D, E>(self.soa, self.lists, ids, &crossing, qcfg, qseed)
+        });
+
+        let local = CostProfile::scan(m as u64); // the split
+        let cost = local.then(lcost.alongside(rcost)).then(corr_cost);
+        let stats = lstats.merge(rstats, node_crossing, m);
+        let mut fstats = lf;
+        fstats.merge(&rf);
+        fstats.merge(&corr_stats);
+        fstats.eps_skips += eps_skips;
+        (cost, stats, fstats)
+    }
 }
 
 #[cfg(test)]

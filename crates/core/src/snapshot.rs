@@ -605,15 +605,16 @@ fn tag_name(tag: &[u8; 4]) -> &'static str {
 
 /// Serialize a [`QueryTree`] into snapshot bytes.
 ///
-/// Sections: `META` (seed, counts, stats, cost profile), `BALL` (the SoA
-/// center columns plus radii — written straight from the columnar arena,
+/// Sections: `META` (17 `u64` words: seed, ball count, the seven stats,
+/// the five cost-profile fields, splitter code, precision code, ε bits),
+/// `BALL` (the SoA center columns plus radii — written straight from the columnar arena,
 /// no transpose), `NODE` (the tree flattened postorder, children before
 /// parents, root last), `LFID` (concatenated leaf ball-id lists).
 pub fn save_query_tree<const D: usize>(tree: &QueryTree<D>) -> Vec<u8> {
     let stats = tree.stats();
     let cost = tree.build_cost();
 
-    let mut meta = Vec::with_capacity(15 * 8);
+    let mut meta = Vec::with_capacity(17 * 8);
     put_u64(&mut meta, tree.run_report().seed);
     put_u64(&mut meta, tree.len() as u64);
     for v in [
@@ -629,11 +630,7 @@ pub fn save_query_tree<const D: usize>(tree: &QueryTree<D>) -> Vec<u8> {
         cost.scan_ops,
         cost.separator_candidates,
         cost.punts,
-        // Appended last so snapshots written before the splitter existed
-        // (14-word META) still load: absent ⇒ the Random default.
         tree.splitter().code(),
-        // Optional words 16/17: precision tier and ε (raw f64 bits).
-        // Absent on pre-precision snapshots ⇒ Mixed, ε = 0 (DESIGN.md §17).
         tree.precision().code(),
         tree.epsilon().to_bits(),
     ] {
@@ -761,34 +758,16 @@ fn load_query_meta(body: &[u8]) -> Result<QueryMeta, SnapshotError> {
         separator_candidates: c.u64()?,
         punts: c.u64()?,
     };
-    // Optional 15th word: splitter backend code. Snapshots written before
-    // the pluggable-splitter era stop at 14 words and decode as Random.
-    let splitter = if c.remaining() > 0 {
-        let code = c.u64()?;
-        SplitterKind::from_code(code)
-            .ok_or_else(|| corrupt("META", format!("unknown splitter code {code}")))?
-    } else {
-        SplitterKind::Random
-    };
-    // Optional words 16/17: precision tier + ε. Snapshots written before
-    // the precision tier stop at 15 words and decode as (Mixed, 0.0) —
-    // the tier is output-invisible, so older trees keep their answers.
-    let precision = if c.remaining() > 0 {
-        let code = c.u64()?;
-        Precision::from_code(code)
-            .ok_or_else(|| corrupt("META", format!("unknown precision code {code}")))?
-    } else {
-        Precision::default()
-    };
-    let epsilon = if c.remaining() > 0 {
-        let eps = f64::from_bits(c.u64()?);
-        if !eps.is_finite() || !(0.0..=1.0).contains(&eps) {
-            return Err(corrupt("META", format!("epsilon {eps} outside [0, 1]")));
-        }
-        eps
-    } else {
-        0.0
-    };
+    let code = c.u64()?;
+    let splitter = SplitterKind::from_code(code)
+        .ok_or_else(|| corrupt("META", format!("unknown splitter code {code}")))?;
+    let code = c.u64()?;
+    let precision = Precision::from_code(code)
+        .ok_or_else(|| corrupt("META", format!("unknown precision code {code}")))?;
+    let epsilon = f64::from_bits(c.u64()?);
+    if !epsilon.is_finite() || !(0.0..=1.0).contains(&epsilon) {
+        return Err(corrupt("META", format!("epsilon {epsilon} outside [0, 1]")));
+    }
     c.finish()?;
     Ok(QueryMeta {
         seed,

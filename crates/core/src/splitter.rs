@@ -1,58 +1,44 @@
 //! Pluggable split-decision backends — the [`Splitter`] trait.
 //!
-//! Every partition step of the recursion engines ([`crate::parallel`],
-//! [`crate::simple_parallel`], [`crate::query`]) routes through a
-//! `Splitter`, so the choice of dividing machinery is a configuration
-//! knob rather than a code path:
+//! Every sphere-separator split of the recursion engines ([`crate::parallel`],
+//! [`crate::query`]) routes through a `Splitter`, so the choice of
+//! dividing machinery is a configuration knob rather than a code path:
 //!
 //! * [`RandomSphere`] — the paper's engine, verbatim: the seeded
 //!   best-of-N sweep over unit-time MTTV sphere candidates with the
-//!   median-cut fallback. The default; pinned byte-identical to the
-//!   pre-trait implementation by the `build_parity` suite.
-//! * [`DeterministicHalving`] — the same random search, but when every
-//!   candidate fails the tol gate (and the median fallback is one-sided)
-//!   it engages a derandomized linear-time halving cut instead of letting
-//!   the recursion force a brute leaf. The halving cut also powers
-//!   [`Splitter::rescue`], which fires when an *accepted* separator turns
-//!   out to route every point to one side.
+//!   median-cut fallback. The default.
 //! * [`GraphSplitter`] — the `GraphSeparator` backend: a seed-free
 //!   BFS/greedy separator over the sparse intersection graph
-//!   ([`crate::graph_separator::grid_bfs_separator`]), falling back to the
-//!   halving cut. Fully deterministic: the build is a pure function of
-//!   the point multiset and the configuration.
+//!   ([`crate::graph_separator::grid_bfs_separator`]). The build is a pure
+//!   function of the point multiset and the configuration.
+//!
+//! A backend only proposes cuts. The shared driver (`dc.rs`) runs
+//! the same fallback chain under both: a derandomized halving cut when
+//! the backend has no cut, one halving rescue when an accepted cut routes
+//! every point to one side, then a forced leaf.
 //!
 //! # Determinism contract
 //!
-//! A backend's `split` must be a pure function of
-//! `(points, cfg, seed)` — never of the rayon pool size, wall clock, or
-//! any global RNG — because the tree builders call it from inside
-//! `rayon::join` and promise byte-identical output at every thread
-//! count. `rescue` and `median_split` must additionally be
-//! order-independent or called only with deterministically-ordered
-//! slices (the engines guarantee the latter).
+//! `split` must be a pure function of `(points, cfg, seed)` — never of
+//! the rayon pool size, wall clock, or any global RNG — because the
+//! driver calls it from inside `rayon::join` and promises byte-identical
+//! output at every thread count.
 
 use crate::graph_separator::grid_bfs_separator;
 use sepdc_geom::point::Point;
-use sepdc_geom::shape::Separator;
-use sepdc_separator::hyperplane_cut::{halving_cut_widest, median_cut_cycling};
-use sepdc_separator::{
-    find_good_separator_par, split_counts, FoundSeparator, SearchOutcome, SeparatorConfig,
-};
+use sepdc_separator::{find_good_separator_par, FoundSeparator, SearchOutcome, SeparatorConfig};
 
 /// Which split-decision backend drives a build.
 ///
 /// Stored in [`KnnDcConfig`](crate::KnnDcConfig) and
 /// [`QueryTreeConfig`](crate::QueryTreeConfig), selected on the CLI via
-/// `--splitter {random,halving,graph}`, and recorded in query-tree
-/// snapshot metadata.
+/// `--splitter {random,graph}`, and recorded in query-tree snapshot
+/// metadata.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SplitterKind {
     /// [`RandomSphere`]: the paper's seeded random sphere search.
     #[default]
     Random,
-    /// [`DeterministicHalving`]: random search with a derandomized
-    /// halving-cut fallback and rescue.
-    Halving,
     /// [`GraphSplitter`]: the deterministic BFS/greedy intersection-graph
     /// separator.
     Graph,
@@ -63,26 +49,24 @@ impl SplitterKind {
     pub fn name(self) -> &'static str {
         match self {
             SplitterKind::Random => "random",
-            SplitterKind::Halving => "halving",
             SplitterKind::Graph => "graph",
         }
     }
 
-    /// Parse a CLI name (`random`, `halving`, `graph`).
+    /// Parse a CLI name (`random`, `graph`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "random" => Some(SplitterKind::Random),
-            "halving" => Some(SplitterKind::Halving),
             "graph" => Some(SplitterKind::Graph),
             _ => None,
         }
     }
 
-    /// Stable numeric code for snapshot metadata and config echoes.
+    /// Stable numeric code for snapshot metadata and config echoes. Code 1
+    /// belonged to a retired backend and is rejected on load.
     pub fn code(self) -> u64 {
         match self {
             SplitterKind::Random => 0,
-            SplitterKind::Halving => 1,
             SplitterKind::Graph => 2,
         }
     }
@@ -92,46 +76,27 @@ impl SplitterKind {
     pub fn from_code(code: u64) -> Option<Self> {
         match code {
             0 => Some(SplitterKind::Random),
-            1 => Some(SplitterKind::Halving),
             2 => Some(SplitterKind::Graph),
             _ => None,
         }
     }
 }
 
-/// A split-decision backend. See the [module docs](self) for the three
-/// shipped implementations and the determinism contract.
+/// A split-decision backend. See the [module docs](self) for the shipped
+/// implementations and the determinism contract.
 ///
 /// `D` is the point dimension, `E = D + 1` the lift dimension the MTTV
 /// candidate generator works in.
 pub trait Splitter<const D: usize, const E: usize>: Send + Sync {
-    /// Which backend this is (for accounting and snapshots).
-    fn kind(&self) -> SplitterKind;
-
     /// Find a separator that δ-splits `points`, or `None` when the
-    /// backend is out of options (the recursion then takes a forced
-    /// brute leaf). Must be a pure function of `(points, cfg, seed)`.
+    /// backend is out of options (the driver then tries its halving
+    /// fallback). Must be a pure function of `(points, cfg, seed)`.
     fn split(
         &self,
         points: &[Point<D>],
         cfg: &SeparatorConfig,
         seed: u64,
     ) -> Option<FoundSeparator<D>>;
-
-    /// Second-chance separator for a split that passed the tol gate but
-    /// routed every point to one side (large `tol` makes the gate count
-    /// surface points on both sides while strict routing sends them all
-    /// interior). `None` — the default, and [`RandomSphere`]'s answer —
-    /// keeps the historical behavior of a forced brute leaf.
-    fn rescue(&self, _points: &[Point<D>]) -> Option<Separator<D>> {
-        None
-    }
-
-    /// The hyperplane cut used by the Section 5 (Bentley-style) engine at
-    /// recursion `depth`. Defaults to the classic axis-cycling median cut.
-    fn median_split(&self, points: &[Point<D>], depth: usize) -> Option<Separator<D>> {
-        median_cut_cycling(points, depth)
-    }
 }
 
 /// The paper's engine, extracted unchanged: seeded random sphere search
@@ -140,10 +105,6 @@ pub trait Splitter<const D: usize, const E: usize>: Send + Sync {
 pub struct RandomSphere;
 
 impl<const D: usize, const E: usize> Splitter<D, E> for RandomSphere {
-    fn kind(&self) -> SplitterKind {
-        SplitterKind::Random
-    }
-
     fn split(
         &self,
         points: &[Point<D>],
@@ -154,83 +115,26 @@ impl<const D: usize, const E: usize> Splitter<D, E> for RandomSphere {
     }
 }
 
-/// Score a deterministic halving cut against `points`: accepted whenever
-/// it strictly splits, reported with [`SearchOutcome::Halving`].
-fn halving_found<const D: usize>(
-    points: &[Point<D>],
-    cfg: &SeparatorConfig,
-) -> Option<FoundSeparator<D>> {
-    let sep = halving_cut_widest(points)?;
-    let counts = split_counts(points, &sep, cfg.tol);
-    if counts.left() == 0 || counts.right() == 0 {
-        return None;
-    }
-    Some(FoundSeparator {
-        separator: sep,
-        counts,
-        attempts: cfg.max_attempts,
-        outcome: SearchOutcome::Halving,
-    })
-}
-
-/// Random sphere search with a derandomized halving-cut safety net: after
-/// `max_attempts` consecutive tol-gate failures (and a one-sided median
-/// fallback) the linear-time halving cut engages instead of forcing a
-/// brute leaf, and [`Splitter::rescue`] re-splits nodes whose accepted
-/// separator routed one-sided.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DeterministicHalving;
-
-impl<const D: usize, const E: usize> Splitter<D, E> for DeterministicHalving {
-    fn kind(&self) -> SplitterKind {
-        SplitterKind::Halving
-    }
-
-    fn split(
-        &self,
-        points: &[Point<D>],
-        cfg: &SeparatorConfig,
-        seed: u64,
-    ) -> Option<FoundSeparator<D>> {
-        find_good_separator_par::<D, E>(points, cfg, seed).or_else(|| halving_found(points, cfg))
-    }
-
-    fn rescue(&self, points: &[Point<D>]) -> Option<Separator<D>> {
-        halving_cut_widest(points)
-    }
-}
-
 /// The `GraphSeparator` backend: seed-free BFS/greedy separator over the
-/// sparse intersection graph, with the halving cut as deterministic
-/// fallback. Builds under this backend are pure functions of the point
-/// multiset and configuration — no randomness at all.
+/// sparse intersection graph. Builds under this backend are pure
+/// functions of the point multiset and configuration — no randomness at
+/// all.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GraphSplitter;
 
 impl<const D: usize, const E: usize> Splitter<D, E> for GraphSplitter {
-    fn kind(&self) -> SplitterKind {
-        SplitterKind::Graph
-    }
-
     fn split(
         &self,
         points: &[Point<D>],
         cfg: &SeparatorConfig,
         _seed: u64,
     ) -> Option<FoundSeparator<D>> {
-        if let Some(found) = grid_bfs_separator(points, cfg) {
-            return Some(FoundSeparator {
-                separator: found.separator,
-                counts: found.counts,
-                attempts: found.attempts,
-                outcome: SearchOutcome::Graph,
-            });
-        }
-        halving_found(points, cfg)
-    }
-
-    fn rescue(&self, points: &[Point<D>]) -> Option<Separator<D>> {
-        halving_cut_widest(points)
+        grid_bfs_separator(points, cfg).map(|found| FoundSeparator {
+            separator: found.separator,
+            counts: found.counts,
+            attempts: found.attempts,
+            outcome: SearchOutcome::Graph,
+        })
     }
 }
 
@@ -241,7 +145,6 @@ pub fn splitter_for<const D: usize, const E: usize>(
 ) -> &'static dyn Splitter<D, E> {
     match kind {
         SplitterKind::Random => &RandomSphere,
-        SplitterKind::Halving => &DeterministicHalving,
         SplitterKind::Graph => &GraphSplitter,
     }
 }
@@ -252,17 +155,17 @@ mod tests {
     use sepdc_workloads::degenerate::all_coincident;
     use sepdc_workloads::Workload;
 
+    const KINDS: [SplitterKind; 2] = [SplitterKind::Random, SplitterKind::Graph];
+
     #[test]
     fn kind_name_parse_code_round_trip() {
-        for kind in [
-            SplitterKind::Random,
-            SplitterKind::Halving,
-            SplitterKind::Graph,
-        ] {
+        for kind in KINDS {
             assert_eq!(SplitterKind::parse(kind.name()), Some(kind));
             assert_eq!(SplitterKind::from_code(kind.code()), Some(kind));
         }
         assert_eq!(SplitterKind::parse("kdtree"), None);
+        assert_eq!(SplitterKind::parse("halving"), None);
+        assert_eq!(SplitterKind::from_code(1), None);
         assert_eq!(SplitterKind::from_code(99), None);
         assert_eq!(SplitterKind::default(), SplitterKind::Random);
     }
@@ -283,38 +186,11 @@ mod tests {
     fn every_backend_splits_uniform_points() {
         let pts = Workload::UniformCube.generate::<2>(2000, 2);
         let cfg = SeparatorConfig::default();
-        for kind in [
-            SplitterKind::Random,
-            SplitterKind::Halving,
-            SplitterKind::Graph,
-        ] {
-            let sp = splitter_for::<2, 3>(kind);
-            assert_eq!(sp.kind(), kind);
-            let found = sp.split(&pts, &cfg, 7).unwrap_or_else(|| {
-                panic!("backend {} failed on uniform points", kind.name());
-            });
+        for kind in KINDS {
+            let found = splitter_for::<2, 3>(kind)
+                .split(&pts, &cfg, 7)
+                .unwrap_or_else(|| panic!("backend {} failed on uniform points", kind.name()));
             assert!(found.counts.left() > 0 && found.counts.right() > 0);
-        }
-    }
-
-    #[test]
-    fn halving_engages_when_random_search_is_disabled() {
-        // tol so large every candidate is rejected as one-sided by the
-        // strict fallback check, and a point set whose median cut
-        // degenerates: two bundles at the same x.
-        let mut pts = vec![sepdc_geom::Point::<2>::from([0.0, 0.0]); 40];
-        pts.extend(vec![sepdc_geom::Point::<2>::from([0.0, 1.0]); 40]);
-        let cfg = SeparatorConfig {
-            max_attempts: 0, // random search disabled: straight to fallbacks
-            ..Default::default()
-        };
-        // Raw search succeeds via its median fallback here; the halving
-        // backend must agree rather than diverge needlessly.
-        let raw = find_good_separator_par::<2, 3>(&pts, &cfg, 1);
-        let halved = Splitter::<2, 3>::split(&DeterministicHalving, &pts, &cfg, 1).unwrap();
-        match raw {
-            Some(r) => assert_eq!(r.separator, halved.separator),
-            None => assert_eq!(halved.outcome, SearchOutcome::Halving),
         }
     }
 
@@ -325,11 +201,7 @@ mod tests {
             max_attempts: 2,
             ..Default::default()
         };
-        for kind in [
-            SplitterKind::Random,
-            SplitterKind::Halving,
-            SplitterKind::Graph,
-        ] {
+        for kind in KINDS {
             assert!(
                 splitter_for::<2, 3>(kind).split(&pts, &cfg, 3).is_none(),
                 "backend {} invented a split of identical points",
@@ -347,13 +219,5 @@ mod tests {
         let b = sp.split(&pts, &cfg, 0xDEAD_BEEF).unwrap();
         assert_eq!(a.separator, b.separator);
         assert_eq!(a.counts, b.counts);
-    }
-
-    #[test]
-    fn rescue_defaults() {
-        let pts = Workload::UniformCube.generate::<2>(100, 6);
-        assert!(Splitter::<2, 3>::rescue(&RandomSphere, &pts).is_none());
-        assert!(Splitter::<2, 3>::rescue(&DeterministicHalving, &pts).is_some());
-        assert!(Splitter::<2, 3>::rescue(&GraphSplitter, &pts).is_some());
     }
 }

@@ -1,16 +1,16 @@
 //! Thread-count build parity for every splitter backend.
 //!
 //! The determinism contract says every build is a pure function of
-//! (points, config, seed) — at any rayon pool size. The unit tests pin
-//! this for the default `random` backend; this suite extends the pin to
-//! the `halving` and `graph` backends, over both the §6 k-NN recursion
-//! and the §3 query structure, using snapshot bytes as the strictest
-//! possible fingerprint (byte-identical trees, not just equal answers).
+//! (points, config, seed) — at any rayon pool size. This suite pins it
+//! for the `random` and `graph` backends over adversarial generators,
+//! over both the §6 k-NN recursion and the §3 query structure, using
+//! snapshot bytes as the strictest possible fingerprint (byte-identical
+//! trees, not just equal answers).
 //!
 //! Also re-pins the seed=5028 / tol=0.5 degenerate rescue — the case
 //! where the random search accepts a separator that routes every point
-//! one way and the `halving` backend must re-split instead of forcing a
-//! brute leaf — at every pool size.
+//! one way and the driver's halving rescue must re-split instead of
+//! forcing a brute leaf — at every pool size.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -79,18 +79,18 @@ fn balls_of(points: &[Point<2>]) -> Vec<Ball<2>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// `halving` and `graph` builds are byte-identical across 1/2/7-thread
+    /// `random` and `graph` builds are byte-identical across 1/2/7-thread
     /// pools, for the §6 recursion (bit-exact neighbor lists + stats) and
     /// the §3 query tree (bit-exact snapshot bytes).
     #[test]
-    fn alternative_backends_build_identically_across_pools(
+    fn backends_build_identically_across_pools(
         selector in 0u32..4,
         n in 60usize..200,
         seed in 0u64..1 << 48,
     ) {
         let points = generate(selector, n, seed);
         let balls = balls_of(&points);
-        for kind in [SplitterKind::Halving, SplitterKind::Graph] {
+        for kind in [SplitterKind::Random, SplitterKind::Graph] {
             let cfg = KnnDcConfig::new(2).with_seed(seed).with_splitter(kind);
             let tree_cfg = QueryTreeConfig { splitter: kind, ..QueryTreeConfig::default() };
             let mut knn_base = None;
@@ -133,15 +133,13 @@ proptest! {
 }
 
 /// The pinned seed=5028 / tol=0.5 degenerate case: the random search
-/// accepts a one-sided separator and (under the default backend) forces a
-/// brute leaf. The halving backend's rescue cut must fire instead — with
-/// the same counters and bit-exact answers at every pool size.
+/// accepts a one-sided separator, and the driver's halving rescue must
+/// re-split the node instead of forcing a brute leaf — with the same
+/// counters and bit-exact answers at every pool size.
 #[test]
 fn halving_rescue_is_pinned_and_pool_oblivious() {
     let pts = Workload::UniformCube.generate::<2>(64, 0);
-    let mut cfg = KnnDcConfig::new(1)
-        .with_seed(5028)
-        .with_splitter(SplitterKind::Halving);
+    let mut cfg = KnnDcConfig::new(1).with_seed(5028);
     cfg.base_case = Some(16);
     cfg.separator.tol = 0.5;
     cfg.separator.epsilon = 0.2;

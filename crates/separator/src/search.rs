@@ -30,11 +30,11 @@ pub enum SearchOutcome {
     Random,
     /// The deterministic median-cut fallback was used.
     Fallback,
-    /// A derandomized halving cut engaged after the random search failed
-    /// (the `DeterministicHalving` splitter backend).
+    /// A derandomized halving cut engaged after the splitter backend found
+    /// no separator (the divide-and-conquer driver's fallback).
     Halving,
     /// A BFS/greedy separator over the sparse ball-intersection graph was
-    /// accepted (the `GraphSeparator` splitter backend).
+    /// accepted (the `graph` splitter backend).
     Graph,
 }
 

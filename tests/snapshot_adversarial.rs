@@ -61,6 +61,26 @@ fn reseal(bytes: &mut [u8], tag: &[u8; 4]) {
     bytes[entry + 20..entry + 28].copy_from_slice(&sum.to_le_bytes());
 }
 
+/// Replace section `tag`'s body with `body`, shift the offsets of the
+/// bodies behind it, and reseal — a well-formed container around a hostile
+/// section of a different length.
+fn replace_section(bytes: &[u8], tag: &[u8; 4], body: &[u8]) -> Vec<u8> {
+    let (entry, old) = find_section(bytes, tag);
+    let mut out = [&bytes[..old.start], body, &bytes[old.end..]].concat();
+    let count = u32::from_le_bytes(out[20..24].try_into().unwrap()) as usize;
+    for i in 0..count {
+        let at = HEADER_LEN + i * TABLE_ENTRY_LEN + 4;
+        let offset = u64::from_le_bytes(out[at..at + 8].try_into().unwrap());
+        if offset as usize > old.start {
+            let moved = offset + body.len() as u64 - old.len() as u64;
+            out[at..at + 8].copy_from_slice(&moved.to_le_bytes());
+        }
+    }
+    out[entry + 12..entry + 20].copy_from_slice(&(body.len() as u64).to_le_bytes());
+    reseal(&mut out, tag);
+    out
+}
+
 #[test]
 fn every_truncation_is_a_typed_error() {
     let bytes = fixture_bytes();
@@ -183,6 +203,46 @@ fn resealed_huge_array_length_cannot_allocate() {
         panic!("{err:?}");
     };
     assert!(detail.contains("exceeds section size"), "{detail}");
+}
+
+#[test]
+fn resealed_short_meta_is_truncated() {
+    // The query-tree META is a fixed 17 words. A 15-word META (missing
+    // the precision words) is a typed error, not a defaulted load.
+    let bytes = fixture_bytes();
+    let (_, body) = find_section(&bytes, b"META");
+    assert_eq!(body.len(), 17 * 8);
+    let short = replace_section(&bytes, b"META", &bytes[body.start..body.start + 15 * 8]);
+    assert!(
+        snapshot::inspect(&short).is_ok(),
+        "container must stay well-formed"
+    );
+    assert_eq!(
+        load_query_tree::<2>(&short).map(drop),
+        Err(SepdcError::Snapshot(SnapshotError::Truncated {
+            context: "META"
+        }))
+    );
+}
+
+#[test]
+fn resealed_retired_splitter_code_is_corrupt() {
+    // META word 15 is the splitter code; code 1 belonged to a backend that
+    // no longer exists.
+    let mut bytes = fixture_bytes();
+    let (_, body) = find_section(&bytes, b"META");
+    let at = body.start + 14 * 8;
+    bytes[at..at + 8].copy_from_slice(&1u64.to_le_bytes());
+    reseal(&mut bytes, b"META");
+    let err = load_query_tree::<2>(&bytes).map(drop).unwrap_err();
+    let SepdcError::Snapshot(SnapshotError::Corrupt {
+        tag: "META",
+        detail,
+    }) = &err
+    else {
+        panic!("{err:?}");
+    };
+    assert!(detail.contains("unknown splitter code 1"), "{detail}");
 }
 
 #[test]
