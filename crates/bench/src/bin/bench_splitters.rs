@@ -8,14 +8,17 @@
 //! Runs the Section 6 recursion under every split-decision backend
 //! (`random`, `graph`) on the degenerate generators that stress
 //! the tol gate — all-coincident, duplicate bundles, a tolerance-band
-//! cluster, and the noisy-line workload — plus a uniform-cube control.
-//! Every answer set is verified against the brute-force oracle before its
-//! row is recorded.
+//! cluster, and the noisy-line workload — plus a uniform-cube control and
+//! the outlier strip built against the widest-axis halving cut.
+//! Every answer set must equal the brute-force oracle's (ids and distance
+//! bits) before its row is recorded. Both modes run at least
+//! `HALVING_FIRST_BELOW` points, so the root asks the backend first; a run
+//! on a splittable input that never asked its backend fails.
 //!
 //! Writes `BENCH_splitters.json` (override with `SEPDC_BENCH_OUT`): the
 //! table rows carry the crossing numbers (total + max at any node), tree
-//! height, and the driver's fallback/rescue counters per backend (the
-//! halving fallback runs under both); the embedded
+//! height, and the driver's halving/rescue counters per backend (nodes
+//! below 2^14 points take the halving cut under both); the embedded
 //! `"reports"` array holds each case's full [`sepdc_core::RunReport`], so
 //! the per-depth crossing and candidate distributions travel with the
 //! summary numbers.
@@ -23,9 +26,11 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sepdc_bench::harness::{host_info, json_str, timed, HostInfo, Table};
-use sepdc_core::{brute_force_knn, parallel_knn, KnnDcConfig, SplitterKind};
+use sepdc_core::{brute_force_knn, parallel_knn, KnnDcConfig, SplitterKind, HALVING_FIRST_BELOW};
 use sepdc_geom::Point;
-use sepdc_workloads::degenerate::{all_coincident, duplicate_bundles, tolerance_band_cluster};
+use sepdc_workloads::degenerate::{
+    all_coincident, duplicate_bundles, outlier_strip, tolerance_band_cluster,
+};
 use sepdc_workloads::Workload;
 
 const SEED: u64 = 3;
@@ -46,6 +51,7 @@ fn workloads(n: usize) -> Vec<(&'static str, Vec<Point<2>>)> {
         ),
         ("noisy-line", Workload::NoisyLine.generate::<2>(n, SEED)),
         ("uniform-cube", Workload::UniformCube.generate::<2>(n, SEED)),
+        ("outlier-strip", outlier_strip::<2, _>(n, 0.01, &mut rng)),
     ]
 }
 
@@ -54,7 +60,11 @@ type CaseReport = (String, f64, String);
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (reps, n) = if smoke { (1, 400) } else { (3, 20_000) };
+    let (reps, n) = if smoke {
+        (1, HALVING_FIRST_BELOW)
+    } else {
+        (3, 20_000)
+    };
 
     let mut table = Table::new(
         "BENCH splitter backends on adversarial workloads",
@@ -88,8 +98,17 @@ fn main() {
             let median = secs[secs.len() / 2];
             let out = out.unwrap();
             out.knn
-                .same_distances(&oracle, 1e-9)
+                .identical_to(&oracle)
                 .unwrap_or_else(|e| panic!("{workload}/{}: oracle mismatch: {e}", kind.name()));
+            // A backend search adds at least one candidate, a halving cut
+            // exactly one. No cut splits all-coincident input, and a node
+            // no cut splits records no candidates.
+            assert!(
+                out.stats.candidates > out.stats.halving_splits || workload == "all-coincident",
+                "{workload}/{}: the backend was never asked: {:?}",
+                kind.name(),
+                out.stats
+            );
             let label = format!("{workload} n={n} splitter={}", kind.name());
             reports.push((label.clone(), median, out.report.to_json()));
             table.row(
@@ -115,7 +134,7 @@ fn main() {
          distributions live in the embedded run reports"
     ));
     if smoke {
-        table.note("--smoke run: n=400, 1 rep (CI sanity only)".to_string());
+        table.note(format!("--smoke run: n={n}, 1 rep (CI sanity only)"));
     }
     let host = host_info();
     table.note(host.describe());

@@ -102,9 +102,11 @@ fn ablate_punt_slack(table: &mut Table) {
 
 fn ablate_fast_correction(table: &mut Table) {
     let pts = Workload::UniformCube.generate::<2>(1 << 15, 9);
-    // punt_slack = 0 forces the threshold to 0: every node punts to the
-    // query structure — §5-style correction on the §6 sphere partition.
-    for (label, slack) in [("fast-correction ON", 4.0f64), ("forced punting", 0.0)] {
+    // The smallest valid punt_slack puts the threshold below one crossing
+    // ball: every node with a crosser punts to the query structure —
+    // §5-style correction on the §6 partition.
+    let forced = f64::MIN_POSITIVE;
+    for (label, slack) in [("fast-correction ON", 4.0f64), ("forced punting", forced)] {
         let cfg = KnnDcConfig {
             punt_slack: slack,
             ..KnnDcConfig::new(1)

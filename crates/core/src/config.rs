@@ -111,9 +111,9 @@ pub struct KnnDcConfig {
     pub marching_slack: f64,
     /// Separator search configuration for the partition steps.
     pub separator: SeparatorConfig,
-    /// Which split-decision backend drives the partition steps
-    /// ([`crate::splitter`]). The default [`SplitterKind::Random`] is the
-    /// paper's engine, byte-identical to the pre-trait implementation.
+    /// Which split-decision backend cuts the nodes of at least 2^14 items
+    /// ([`crate::splitter`]); smaller nodes try the halving cut first. The
+    /// default [`SplitterKind::Random`] is the paper's engine.
     pub splitter: SplitterKind,
     /// Distance-evaluation tier for the correction candidate filters
     /// (owner-distance gathers, fast-correction fix loop). Answers are

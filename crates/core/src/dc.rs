@@ -12,19 +12,27 @@
 //! three hooks ([`Engine`]): what a leaf does, how a cut routes the node's
 //! items, and how two solved children combine.
 //!
-//! # Fallback chain
+//! # Cut order and fallback chain
 //!
-//! 1. The split [`Rule`] proposes a cut: a [`Splitter`] backend, or the
-//!    axis-cycling median hyperplane of §5.
-//! 2. When it has none, the derandomized halving cut along the widest axis
-//!    is tried. It is accepted when its tolerance-counted split is
-//!    two-sided ([`SearchOutcome::Halving`], counted as a halving split).
-//! 3. When the accepted cut routes every item to one side, the halving cut
-//!    is tried once more as a rescue. A large `tol` can cause this: the
-//!    acceptance gate counts surface points on both sides, strict routing
-//!    sends them all one way.
-//! 4. Otherwise the node becomes a forced leaf ([`Leaf::Degenerate`]):
-//!    recursing on an unshrunk item set would never terminate.
+//! A node has two cut sources: the split [`Rule`] (a [`Splitter`] backend,
+//! or the axis-cycling median hyperplane of §5) and the derandomized
+//! halving cut along the widest axis. Under a backend, a node of fewer
+//! than [`HALVING_FIRST_BELOW`] items tries the halving cut first: it is
+//! cheaper than one MTTV search at that size, and the sphere's guarantees
+//! are asymptotic in the node size. Larger nodes, and every node under the
+//! median rule, try the rule first, so the large nodes keep the sphere's
+//! crossing bound, which the halving cut lacks.
+//!
+//! 1. The first source proposes a cut. When it has none, the alternate
+//!    source's cut is taken instead.
+//! 2. When the cut routes every item to one side and the alternate has not
+//!    been tried, the alternate's cut is tried once as a rescue. A large
+//!    `tol` can cause this: a backend's acceptance gate counts surface
+//!    points on both sides, strict routing sends them all one way.
+//! 3. Otherwise the node becomes a forced leaf: [`Leaf::Unsplittable`] when
+//!    neither source has a cut (every center identical),
+//!    [`Leaf::Degenerate`] when every cut routed one-sided. Recursing on
+//!    an unshrunk item set would never terminate.
 //!
 //! Every step is a pure function of the node's items and path seed, so
 //! the output is identical at every pool size.
@@ -40,21 +48,37 @@ use sepdc_geom::point::Point;
 use sepdc_geom::shape::Separator;
 use sepdc_scan::cost::CostMeter;
 use sepdc_separator::hyperplane_cut::{halving_cut_widest, median_cut_cycling};
-use sepdc_separator::{split_counts, SearchOutcome, SeparatorConfig};
+use sepdc_separator::{SearchOutcome, SeparatorConfig};
 
 /// Minimum node size before the centers gather runs in parallel. The
 /// chunked collect preserves index order, so the gather is positionally
 /// identical to the serial loop.
 const GATHER_PAR_CUTOFF: usize = 1 << 14;
 
+/// Under a backend, nodes of fewer items than this try the widest-axis
+/// halving cut before the backend's; larger nodes try the backend first.
+///
+/// Below the cutoff the halving cut costs less than one MTTV search
+/// (DESIGN.md §16), and the sphere's guarantees, which are asymptotic in
+/// the node size, buy little. At and above it the backend's cut keeps the
+/// paper's `O(m^{(d-1)/d})` crossing bound on the few nodes with the
+/// largest crossing sets. The halving cut has no such bound: on the
+/// `outlier_strip` workload nearly every k-NN ball crosses it, and the
+/// §6 recursion runs faster with the cutoff than with halving cuts
+/// everywhere (EXPERIMENTS.md). On the benchmark inputs an end-to-end
+/// sweep of the cutoff is flat from 2,048 to 16,384 (EXPERIMENTS.md
+/// "Halving-first cutoff sweep"); 2^14 is the top of that range, so the
+/// sphere search runs on the fewest nodes the sweep left unchanged.
+pub const HALVING_FIRST_BELOW: usize = 1 << 14;
+
 /// Why the driver stopped subdividing a node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Leaf {
     /// At or below the leaf size.
     Base,
-    /// No cut splits the node (every center identical).
+    /// Neither cut source had a cut (every center identical).
     Unsplittable,
-    /// The accepted cut and the rescue both routed every item one way.
+    /// Every cut tried routed every item one way.
     Degenerate,
     /// The automatic depth guard fired.
     DepthCapped,
@@ -77,11 +101,13 @@ impl Leaf {
 pub(crate) struct Node<const D: usize> {
     /// The separator the items were routed by.
     pub sep: Separator<D>,
-    /// Unit-time candidates the split decision drew.
+    /// Candidates the split decision drew: a backend search counts its
+    /// draws (`max_attempts` when it found no cut), a halving cut one.
     pub attempts: u64,
-    /// How the split rule found the cut (before any rescue).
+    /// How `sep` was found.
     pub outcome: SearchOutcome,
-    /// Whether the halving rescue replaced a one-sided accepted cut.
+    /// Whether `sep` is the alternate source's cut, replacing a first cut
+    /// that routed one-sided.
     pub rescued: bool,
     /// Recursion depth of the node.
     pub depth: usize,
@@ -150,12 +176,21 @@ pub(crate) enum Rule<const D: usize, const E: usize> {
     MedianCycling,
 }
 
+/// One of a node's two cut sources.
+#[derive(Clone, Copy)]
+enum Source {
+    /// The split [`Rule`].
+    Rule,
+    /// The widest-axis halving cut.
+    Halving,
+}
+
 /// The recursion's configuration, shared by every node of one build.
 pub(crate) struct Driver<'a, const D: usize, const E: usize> {
     /// How cuts are proposed.
     pub rule: Rule<D, E>,
-    /// Separator tunables (the halving fallback reads `tol` and
-    /// `max_attempts`).
+    /// Separator tunables, handed to the backend; `max_attempts` also
+    /// prices a backend search that found no cut.
     pub sep: &'a SeparatorConfig,
     /// Phase timer and per-depth histogram.
     pub obs: &'a RunRecorder,
@@ -226,30 +261,38 @@ impl<'a, const D: usize, const E: usize> Driver<'a, D, E> {
         } else {
             ids.iter().map(|&i| en.center(i)).collect()
         };
-        // The search is timed as a sub-interval of the split:
-        // `separator-search` time is contained in `split` time.
-        let cut = self.obs.time(Phase::SeparatorSearch, || {
-            self.propose(&centers, seed, depth)
-        });
-        let Some((mut sep, attempts, outcome)) = cut else {
+        // The fallback chain of the module docs: the alternate source is
+        // the fallback when the first has no cut, else the one rescue.
+        let (first, alternate) = match self.rule {
+            Rule::Backend(_) if m < HALVING_FIRST_BELOW => (Source::Halving, Source::Rule),
+            _ => (Source::Rule, Source::Halving),
+        };
+        let mut attempts = 0;
+        let mut cut = self.propose(first, &centers, seed, depth, &mut attempts);
+        let fell_back = cut.is_none();
+        if fell_back {
+            cut = self.propose(alternate, &centers, seed, depth, &mut attempts);
+        }
+        let Some((mut sep, mut outcome)) = cut else {
             self.obs.stop(Phase::Split, t_split);
             return Ok(self.leaf(en, ids, depth, Leaf::Unsplittable));
         };
+        let mut routed = en.route(ids, &sep);
+        let mut rescued = false;
+        if routed.is_none() && !fell_back {
+            if let Some((rsep, routcome)) =
+                self.propose(alternate, &centers, seed, depth, &mut attempts)
+            {
+                routed = en.route(ids, &rsep);
+                if routed.is_some() {
+                    (sep, outcome, rescued) = (rsep, routcome, true);
+                }
+            }
+        }
         self.obs.add_candidates(depth, attempts);
         if let Some(meter) = self.meter {
             meter.add_candidates(attempts);
             meter.add_accept();
-        }
-        let mut routed = en.route(ids, &sep);
-        let mut rescued = false;
-        if routed.is_none() {
-            if let Some(rsep) = halving_cut_widest(&centers) {
-                routed = en.route(ids, &rsep);
-                if routed.is_some() {
-                    sep = rsep;
-                    rescued = true;
-                }
-            }
         }
         // Nothing below this node reads the centers: free them before the
         // children gather theirs.
@@ -290,31 +333,35 @@ impl<'a, const D: usize, const E: usize> Driver<'a, D, E> {
         out
     }
 
-    /// Steps 1 and 2 of the fallback chain: the rule's cut, else a halving
-    /// cut whose tolerance-counted split is two-sided.
+    /// The cut `source` proposes for a node, timed as `separator-search`
+    /// (a sub-interval of `split`). Adds the candidates it drew to
+    /// `attempts`.
     fn propose(
         &self,
+        source: Source,
         centers: &[Point<D>],
         seed: u64,
         depth: usize,
-    ) -> Option<(Separator<D>, u64, SearchOutcome)> {
-        let proposed = match self.rule {
-            Rule::Backend(sp) => sp
-                .split(centers, self.sep, seed)
-                .map(|f| (f.separator, f.attempts as u64, f.outcome)),
-            Rule::MedianCycling => {
-                median_cut_cycling(centers, depth).map(|sep| (sep, 0, SearchOutcome::Fallback))
-            }
-        };
-        proposed.or_else(|| {
-            let sep = halving_cut_widest(centers)?;
-            let counts = split_counts(centers, &sep, self.sep.tol);
-            (counts.left() > 0 && counts.right() > 0).then_some((
-                sep,
-                self.sep.max_attempts as u64,
-                SearchOutcome::Halving,
-            ))
-        })
+        attempts: &mut u64,
+    ) -> Option<(Separator<D>, SearchOutcome)> {
+        let (cut, drawn) = self
+            .obs
+            .time(Phase::SeparatorSearch, || match (source, self.rule) {
+                (Source::Rule, Rule::Backend(sp)) => match sp.split(centers, self.sep, seed) {
+                    Some(f) => (Some((f.separator, f.outcome)), f.attempts as u64),
+                    None => (None, self.sep.max_attempts as u64),
+                },
+                (Source::Rule, Rule::MedianCycling) => (
+                    median_cut_cycling(centers, depth).map(|sep| (sep, SearchOutcome::Fallback)),
+                    0,
+                ),
+                (Source::Halving, _) => (
+                    halving_cut_widest(centers).map(|sep| (sep, SearchOutcome::Halving)),
+                    1,
+                ),
+            });
+        *attempts += drawn;
+        cut
     }
 }
 
@@ -335,8 +382,10 @@ mod tests {
     use crate::splitter::RandomSphere;
     use sepdc_separator::FoundSeparator;
     use sepdc_workloads::Workload;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// Each leaf's `(kind, size)` and each split's `(outcome, rescued)`.
+    /// Each leaf's `(kind, size)` and each split's `(outcome, rescued)`,
+    /// children before parents (the root's split is last).
     type Trace = (Vec<(Leaf, usize)>, Vec<(SearchOutcome, bool)>);
 
     /// Routes by strict side, except that it refuses the cuts `refuse`
@@ -382,8 +431,25 @@ mod tests {
         }
     }
 
-    /// Drive 200 uniform points to leaves of at most 8.
+    /// [`RandomSphere`], counting the searches it runs.
+    #[derive(Default)]
+    struct Counted(AtomicUsize);
+
+    impl Splitter<2, 3> for Counted {
+        fn split(
+            &self,
+            p: &[Point<2>],
+            cfg: &SeparatorConfig,
+            seed: u64,
+        ) -> Option<FoundSeparator<2>> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Splitter::<2, 3>::split(&RandomSphere, p, cfg, seed)
+        }
+    }
+
+    /// Drive `n` uniform points to leaves of at most 8.
     fn run(
+        n: usize,
         rule: Rule<2, 3>,
         refuse: fn(&Separator<2>) -> bool,
         depth_limit: usize,
@@ -400,20 +466,72 @@ mod tests {
             strict_depth,
             parallel_cutoff: 64,
         };
-        let points = Workload::UniformCube.generate::<2>(200, 1);
+        let points = Workload::UniformCube.generate::<2>(n, 1);
         let trace = driver.run(
             &Probe { points, refuse },
-            &mut (0..200).collect::<Vec<_>>(),
+            &mut (0..n as u32).collect::<Vec<_>>(),
             7,
             0,
         )?;
-        assert_eq!(trace.0.iter().map(|&(_, len)| len).sum::<usize>(), 200);
+        assert_eq!(trace.0.iter().map(|&(_, len)| len).sum::<usize>(), n);
         Ok(trace)
+    }
+
+    /// Drive `n` points under a fresh [`Counted`] backend; returns the
+    /// trace and the number of backend searches.
+    fn run_counted(n: usize, refuse: fn(&Separator<2>) -> bool) -> (Trace, usize) {
+        let backend: &'static Counted = Box::leak(Box::default());
+        let trace = run(n, Rule::Backend(backend), refuse, 64, false).unwrap();
+        (trace, backend.0.load(Ordering::Relaxed))
+    }
+
+    #[test]
+    fn small_nodes_take_the_halving_cut_without_a_backend_search() {
+        let ((leaves, splits), searches) = run_counted(200, |_| false);
+        assert_eq!(searches, 0);
+        assert!(!splits.is_empty());
+        assert!(splits.iter().all(|&s| s == (SearchOutcome::Halving, false)));
+        assert!(leaves.iter().all(|&(kind, _)| kind == Leaf::Base));
+    }
+
+    #[test]
+    fn nodes_at_the_cutoff_take_the_backend_cut_first() {
+        // Only the root holds HALVING_FIRST_BELOW items; its children are
+        // below the cutoff.
+        let ((leaves, splits), searches) = run_counted(HALVING_FIRST_BELOW, |_| false);
+        assert_eq!(searches, 1);
+        let (root, below) = splits.split_last().unwrap();
+        assert_eq!(*root, (SearchOutcome::Random, false));
+        assert!(below.iter().all(|&s| s == (SearchOutcome::Halving, false)));
+        assert!(leaves.iter().all(|&(kind, _)| kind == Leaf::Base));
+    }
+
+    #[test]
+    fn one_sided_halving_cut_is_rescued_by_the_backend() {
+        let planes = |s: &Separator<2>| matches!(s, Separator::Halfspace(_));
+        let ((leaves, splits), searches) = run_counted(200, planes);
+        assert_eq!(searches, splits.len());
+        assert!(
+            splits.iter().all(|&s| s == (SearchOutcome::Random, true)),
+            "{splits:?}"
+        );
+        assert!(
+            leaves.iter().all(|&(kind, _)| kind == Leaf::Base),
+            "{leaves:?}"
+        );
     }
 
     #[test]
     fn halving_cut_splits_when_the_rule_has_none() {
-        let (leaves, splits) = run(Rule::Backend(&Never), |_| false, 64, false).unwrap();
+        // At the cutoff the root asks the backend first.
+        let (leaves, splits) = run(
+            HALVING_FIRST_BELOW,
+            Rule::Backend(&Never),
+            |_| false,
+            64,
+            false,
+        )
+        .unwrap();
         assert!(!splits.is_empty());
         assert!(splits.iter().all(|&s| s == (SearchOutcome::Halving, false)));
         assert!(leaves
@@ -423,8 +541,16 @@ mod tests {
 
     #[test]
     fn one_sided_cut_is_rescued_by_the_halving_cut() {
+        // At the cutoff the root's first cut is the backend's sphere.
         let spheres = |s: &Separator<2>| matches!(s, Separator::Sphere(_));
-        let (leaves, splits) = run(Rule::Backend(&RandomSphere), spheres, 64, false).unwrap();
+        let (leaves, splits) = run(
+            HALVING_FIRST_BELOW,
+            Rule::Backend(&RandomSphere),
+            spheres,
+            64,
+            false,
+        )
+        .unwrap();
         assert!(splits.iter().any(|&(_, rescued)| rescued), "{splits:?}");
         assert!(
             leaves.iter().all(|&(kind, _)| kind == Leaf::Base),
@@ -435,19 +561,47 @@ mod tests {
     #[test]
     fn no_progress_after_the_rescue_forces_a_leaf() {
         for rule in [Rule::Backend(&RandomSphere), Rule::MedianCycling] {
-            let trace = run(rule, |_| true, 64, false).unwrap();
+            let trace = run(200, rule, |_| true, 64, false).unwrap();
             assert_eq!(trace, (vec![(Leaf::Degenerate, 200)], vec![]));
         }
     }
 
     #[test]
     fn depth_guard_forces_leaves_or_errors_when_strict() {
-        let (leaves, splits) = run(Rule::MedianCycling, |_| false, 1, false).unwrap();
+        let (leaves, splits) = run(200, Rule::MedianCycling, |_| false, 1, false).unwrap();
         assert_eq!(splits.len(), 1);
         assert!(leaves.iter().all(|&(kind, _)| kind == Leaf::DepthCapped));
         assert!(matches!(
-            run(Rule::MedianCycling, |_| false, 1, true),
+            run(200, Rule::MedianCycling, |_| false, 1, true),
             Err(SepdcError::RecursionDepthExceeded { limit: 1 })
         ));
+    }
+
+    #[test]
+    fn large_nodes_keep_the_sphere_where_the_halving_cut_crosses_every_ball() {
+        // Why nodes at the cutoff ask the backend first: two far outliers
+        // make the strip's width the widest axis, so the halving cut splits
+        // the strip lengthwise and nearly every 4-NN ball crosses it. The
+        // MTTV sphere crosses few.
+        use rand::SeedableRng;
+        let pts = sepdc_workloads::degenerate::outlier_strip::<2, _>(
+            HALVING_FIRST_BELOW,
+            0.01,
+            &mut rand_chacha::ChaCha8Rng::seed_from_u64(1),
+        );
+        let knn = crate::kdtree::kdtree_all_knn(&pts, 4);
+        let crossing = |sep: &Separator<2>| {
+            (0..pts.len())
+                .filter(|&i| sep.intersects_ball(&pts[i], knn.radius_sq(i).sqrt()))
+                .count()
+        };
+        let halving = crossing(&halving_cut_widest(&pts).unwrap());
+        let found = Splitter::<2, 3>::split(&RandomSphere, &pts, &SeparatorConfig::default(), 7);
+        let sphere = crossing(&found.unwrap().separator);
+        assert!(halving * 10 > pts.len() * 9, "halving crossing {halving}");
+        assert!(
+            sphere * 20 < halving,
+            "sphere {sphere} vs halving {halving}"
+        );
     }
 }

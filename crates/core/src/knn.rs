@@ -157,6 +157,30 @@ impl KnnResult {
         Ok(())
     }
 
+    /// Exact equality with `other`: every list holds the same ids in the
+    /// same order with bit-identical squared distances. Every exact
+    /// algorithm here breaks distance ties by index, so its answer meets
+    /// the brute oracle's under this check.
+    pub fn identical_to(&self, other: &KnnResult) -> Result<(), String> {
+        if self.len() != other.len() || self.k != other.k {
+            return Err(format!(
+                "shape mismatch: n={} k={} vs n={} k={}",
+                self.len(),
+                self.k,
+                other.len(),
+                other.k
+            ));
+        }
+        let key = |nb: &Neighbor| (nb.idx, nb.dist_sq.to_bits());
+        for i in 0..self.len() {
+            let (a, b) = (self.neighbors(i), other.neighbors(i));
+            if !a.iter().map(key).eq(b.iter().map(key)) {
+                return Err(format!("point {i}: {a:?} vs {b:?}"));
+            }
+        }
+        Ok(())
+    }
+
     /// Measure this (possibly ε-approximate) result against an `exact`
     /// reference, producing the per-run error certificate of DESIGN.md §17.
     ///
@@ -491,6 +515,22 @@ mod tests {
         let mut c = KnnResult::new(3, 1);
         c.merge_candidate(0, 2, 2.0);
         assert!(a.same_distances(&c, 1e-12).is_err());
+    }
+
+    #[test]
+    fn identical_to_compares_ids_and_distance_bits() {
+        let mut a = KnnResult::new(3, 1);
+        a.merge_candidate(0, 1, 1.0);
+        assert!(a.identical_to(&a.clone()).is_ok());
+        // A tie permutation and a one-ulp drift both count as different.
+        let mut b = KnnResult::new(3, 1);
+        b.merge_candidate(0, 2, 1.0);
+        assert!(a.identical_to(&b).is_err());
+        let mut c = KnnResult::new(3, 1);
+        c.merge_candidate(0, 1, f64::from_bits(1.0f64.to_bits() + 1));
+        assert!(a.same_distances(&c, 1e-12).is_ok());
+        assert!(a.identical_to(&c).is_err());
+        assert!(a.identical_to(&KnnResult::new(3, 2)).is_err());
     }
 
     #[test]

@@ -64,6 +64,7 @@ pub mod validate;
 
 pub use brute::{brute_force_knn, try_brute_force_knn};
 pub use config::{eps_cover_scale, eps_radius_scale, KnnDcConfig, Precision, ServeConfig};
+pub use dc::HALVING_FIRST_BELOW;
 pub use error::SepdcError;
 pub use graph::KnnGraph;
 pub use graph_separator::{sphere_graph_separator, GraphSeparator};

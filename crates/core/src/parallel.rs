@@ -81,14 +81,16 @@ pub struct ParallelDcStats {
     /// Nodes cut off by the automatic depth guard and solved as
     /// brute-force leaves.
     pub depth_forced_leaves: usize,
-    /// Unit-time separator candidates drawn.
+    /// Separator candidates drawn (a halving cut counts one).
     pub candidates: u64,
-    /// Nodes split by the derandomized halving cut after the backend
-    /// found no separator (the divide-and-conquer driver's fallback).
+    /// Nodes split by the derandomized halving cut: below 2^14 points its
+    /// first choice, above it the fallback or rescue of the backend.
     pub halving_splits: u64,
-    /// Nodes where the driver's halving rescue re-split a one-sided
-    /// accepted separator that would otherwise have become a forced brute
-    /// leaf (counted in `degenerate_splits` when the rescue fails too).
+    /// Nodes where the driver's second cut re-split a node whose first cut
+    /// routed every point one way and would otherwise have become a forced
+    /// brute leaf (counted in `degenerate_splits` when the rescue fails
+    /// too). Below 2^14 points the backend rescues the halving cut, above
+    /// it the halving cut rescues the backend.
     pub halving_rescues: u64,
     /// Nodes split by the BFS/greedy intersection-graph separator (the
     /// `graph` backend).
@@ -288,10 +290,6 @@ pub(crate) fn knn_report<const D: usize, const E: usize>(
         (
             "separator.max_attempts".to_string(),
             cfg.separator.max_attempts as f64,
-        ),
-        (
-            "separator.sweep_width".to_string(),
-            cfg.separator.sweep_width as f64,
         ),
         ("query.leaf_size".to_string(), cfg.query.leaf_size as f64),
         ("parallel_cutoff".to_string(), cfg.parallel_cutoff as f64),
@@ -733,6 +731,77 @@ mod tests {
         check_matches_oracle::<3, 4>(Workload::Clusters, 800, 1, 8);
     }
 
+    /// Internal nodes cut by a sphere: the `random` and `graph` backends'
+    /// cuts (the halving cut is a hyperplane).
+    fn sphere_splits<const D: usize>(out: &ParallelDcOutput<D>) -> usize {
+        out.tree
+            .nodes()
+            .iter()
+            .filter(|n| {
+                matches!(
+                    n,
+                    PartitionNode::Internal {
+                        sep: Separator::Sphere(_),
+                        ..
+                    }
+                )
+            })
+            .count()
+    }
+
+    /// [`parallel_knn`] under the default backend, checked bit for bit
+    /// against the kd-tree oracle; panics unless the backend cut a node.
+    fn check_backend_reached<const D: usize, const E: usize>(
+        name: &str,
+        pts: &[Point<D>],
+        k: usize,
+    ) -> ParallelDcOutput<D> {
+        let out = parallel_knn::<D, E>(pts, &KnnDcConfig::new(k).with_seed(17));
+        out.knn
+            .identical_to(&crate::kdtree::kdtree_all_knn(pts, k))
+            .unwrap_or_else(|e| panic!("{name} n={}: {e}", pts.len()));
+        out.knn.check_invariants().unwrap();
+        assert!(
+            sphere_splits(&out) > 0,
+            "{name}: no backend cut: {:?}",
+            out.stats
+        );
+        out
+    }
+
+    #[test]
+    fn matches_oracle_above_the_cutoff() {
+        use rand::SeedableRng;
+        let n = crate::dc::HALVING_FIRST_BELOW;
+        let strip = sepdc_workloads::degenerate::outlier_strip::<2, _>(
+            n,
+            0.01,
+            &mut rand_chacha::ChaCha8Rng::seed_from_u64(18),
+        );
+        check_backend_reached::<2, 3>("outlier_strip", &strip, 4);
+        for (w, k) in [
+            (Workload::UniformCube, 4),
+            (Workload::TwoSlabs, 1),
+            (Workload::SphereShell, 2),
+            (Workload::Grid, 2),
+        ] {
+            check_backend_reached::<2, 3>(w.name(), &w.generate::<2>(n, 19), k);
+        }
+        check_backend_reached::<3, 4>("clusters", &Workload::Clusters.generate::<3>(n, 20), 2);
+    }
+
+    #[test]
+    fn marches_through_sphere_nodes_below_the_root() {
+        // At four times the cutoff the root's children hold about 2^14
+        // points or more, so they ask the backend too, and the root's
+        // correction marches its crossing balls through their spheres.
+        let pts = Workload::UniformCube.generate::<2>(4 * crate::dc::HALVING_FIRST_BELOW, 21);
+        let out = check_backend_reached::<2, 3>("uniform", &pts, 4);
+        assert!(sphere_splits(&out) >= 3, "{:?}", out.stats);
+        assert!(out.stats.fast_corrections > 0, "{:?}", out.stats);
+        assert!(out.meter.marching_balls > 0);
+    }
+
     #[test]
     fn small_inputs() {
         for n in [1usize, 2, 7, 40] {
@@ -849,19 +918,33 @@ mod tests {
         // `debug_assert!(nl > 0 && nl < m)` let release builds recurse
         // forever on the unshrunk slice.
         //
-        // The seed below was found by offline search: the root
-        // `find_good_separator` call accepts a separator whose strict
-        // routing is one-sided. The precondition is asserted explicitly so
-        // the test fails loudly (rather than silently passing) if the
-        // candidate stream ever changes.
-        let pts = Workload::UniformCube.generate::<2>(64, 0);
-        let mut cfg = KnnDcConfig::new(1).with_seed(5028);
+        // The input is 64 uniform sites, each jittered into 256 points
+        // (2^14 in all): the root sits at the size where the backend's cut
+        // comes first (`dc::HALVING_FIRST_BELOW`), and the sparse sites let
+        // a sphere miss every point. The seed below was found by offline
+        // search: the root `find_good_separator` call accepts a separator
+        // whose strict routing is one-sided. The precondition is asserted
+        // explicitly so the test fails loudly (rather than silently
+        // passing) if the candidate stream ever changes.
+        use rand::{Rng, SeedableRng};
+        let sites = Workload::UniformCube.generate::<2>(64, 0);
+        let mut jitter = rand_chacha::ChaCha8Rng::seed_from_u64(1);
+        let pts: Vec<sepdc_geom::Point<2>> = (0..crate::dc::HALVING_FIRST_BELOW)
+            .map(|i| {
+                let s = sites[i % 64];
+                sepdc_geom::Point::from([
+                    s[0] + jitter.gen_range(-1e-3..1e-3),
+                    s[1] + jitter.gen_range(-1e-3..1e-3),
+                ])
+            })
+            .collect();
+        let mut cfg = KnnDcConfig::new(1).with_seed(8200);
         cfg.base_case = Some(16);
         cfg.separator.tol = 0.5;
         cfg.separator.epsilon = 0.2;
         cfg.separator.max_attempts = 1;
 
-        let mut rng: rand_chacha::ChaCha8Rng = rand::SeedableRng::seed_from_u64(cfg.seed);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(cfg.seed);
         let found = sepdc_separator::find_good_separator::<2, 3, _>(&pts, &cfg.separator, &mut rng)
             .expect("precondition: root separator search must accept");
         let nl = pts
@@ -902,17 +985,22 @@ mod tests {
         use rand::SeedableRng;
         use sepdc_workloads::degenerate::{duplicate_bundles, tolerance_band_cluster};
 
+        // At the cutoff the root asks the backend first; every node below
+        // it takes the halving cut. `random` cuts every root. `graph` cuts
+        // the tolerance-band root; on the duplicate bundles and the noisy
+        // line it returns no cut and the halving fallback cuts the root.
+        let n = crate::dc::HALVING_FIRST_BELOW;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(77);
         let workloads: Vec<(&str, Vec<sepdc_geom::Point<2>>)> = vec![
             (
                 "duplicate_bundles",
-                duplicate_bundles::<2, _>(600, 8, &mut rng),
+                duplicate_bundles::<2, _>(n, 8, &mut rng),
             ),
             (
                 "tolerance_band_cluster",
-                tolerance_band_cluster::<2, _>(600, 1e-6, &mut rng),
+                tolerance_band_cluster::<2, _>(n, 1e-6, &mut rng),
             ),
-            ("noisy_line", Workload::NoisyLine.generate::<2>(600, 5)),
+            ("noisy_line", Workload::NoisyLine.generate::<2>(n, 5)),
         ];
         for (name, pts) in &workloads {
             let oracle = brute_force_knn(pts, 2);
@@ -920,9 +1008,28 @@ mod tests {
                 let cfg = KnnDcConfig::new(2).with_seed(11).with_splitter(kind);
                 let out = parallel_knn::<2, 3>(pts, &cfg);
                 out.knn
-                    .same_distances(&oracle, 1e-9)
+                    .identical_to(&oracle)
                     .unwrap_or_else(|e| panic!("{name} under {:?}: {e}", kind));
                 out.knn.check_invariants().unwrap();
+                // A backend search adds at least one candidate, a halving
+                // cut exactly one: more candidates than halving splits
+                // means the backend was asked.
+                assert!(
+                    out.stats.candidates > out.stats.halving_splits,
+                    "{name} under {kind:?}: backend never asked: {:?}",
+                    out.stats
+                );
+                let cut = match kind {
+                    SplitterKind::Random => sphere_splits(&out) > 0,
+                    SplitterKind::Graph => {
+                        out.stats.graph_splits > 0 || *name != "tolerance_band_cluster"
+                    }
+                };
+                assert!(
+                    cut,
+                    "{name} under {kind:?}: backend cut no node: {:?}",
+                    out.stats
+                );
             }
         }
         // all_coincident: no backend can split, but all must stay correct.
@@ -931,7 +1038,7 @@ mod tests {
         for kind in [SplitterKind::Random, SplitterKind::Graph] {
             let cfg = KnnDcConfig::new(2).with_splitter(kind);
             let out = parallel_knn::<2, 3>(&same, &cfg);
-            out.knn.same_distances(&oracle, 0.0).unwrap();
+            out.knn.identical_to(&oracle).unwrap();
             assert!(out.stats.forced_leaves >= 1);
         }
     }

@@ -42,10 +42,10 @@ pub struct QueryTreeConfig {
     pub leaf_size: usize,
     /// Separator search configuration.
     pub separator: SeparatorConfig,
-    /// Which split-decision backend drives construction
-    /// ([`crate::splitter`]). The default [`SplitterKind::Random`] is the
-    /// paper's engine; recorded in snapshot metadata so a loaded tree
-    /// remembers how it was built.
+    /// Which split-decision backend cuts the nodes of at least 2^14 balls
+    /// ([`crate::splitter`]); smaller nodes try the halving cut first. The
+    /// default [`SplitterKind::Random`] is the paper's engine; recorded in
+    /// snapshot metadata so a loaded tree remembers how it was built.
     pub splitter: SplitterKind,
     /// Subtree size below which construction stops forking rayon tasks.
     pub parallel_cutoff: usize,
@@ -108,9 +108,10 @@ pub struct QueryTreeStats {
     pub internals: usize,
     /// Total ball references across leaves (the `O(n)` space bound).
     pub stored_balls: usize,
-    /// Unit-time separator candidates drawn during construction.
+    /// Separator candidates drawn during construction (a halving cut
+    /// counts one).
     pub candidates: u64,
-    /// Nodes where the deterministic fallback cut was used.
+    /// Nodes split by the backend's deterministic median-cut fallback.
     pub fallbacks: usize,
     /// Nodes where no separator could split and the node became an
     /// oversized leaf.
@@ -591,6 +592,7 @@ mod tests {
     use super::*;
     use crate::brute::brute_force_knn;
     use crate::neighborhood::NeighborhoodSystem;
+    use sepdc_separator::hyperplane_cut::halving_cut_widest;
     use sepdc_workloads::Workload;
 
     fn knn_system(n: usize, k: usize, seed: u64) -> (Vec<Point<2>>, NeighborhoodSystem<2>) {
@@ -747,21 +749,101 @@ mod tests {
 
     #[test]
     fn one_sided_cut_is_rescued_instead_of_forcing_a_leaf() {
-        // Found by offline search: one node of this build accepts a sphere
-        // that sends every ball into one child's list. Without the
-        // driver's halving rescue that node would be an oversized forced
-        // leaf.
-        let (pts, sys) = knn_system(150, 4, 11);
-        let tree = QueryTree::build::<3>(sys.balls(), QueryTreeConfig::default(), 11);
+        // 100 small balls left of x = 0 and 100 wider balls in a thin strip
+        // right of it. The root's halving cut lands between the groups and
+        // every strip ball crosses it, so its routing is one-sided: the
+        // 200-ball root must take the backend's sphere instead of becoming
+        // an oversized forced leaf.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
+        let mut balls = Vec::new();
+        for (xs, r) in [(-1.0..-0.01, 0.005), (0.0..0.01, 0.03)] {
+            for _ in 0..100 {
+                let c = Point::from([rng.gen_range(xs.clone()), rng.gen_range(0.0..0.5)]);
+                balls.push(Ball::new(c, r));
+            }
+        }
+        let centers: Vec<Point<2>> = balls.iter().map(|b| b.center).collect();
+        let halving = halving_cut_widest(&centers).unwrap();
+        assert!(
+            balls.iter().all(|b| b.touches_interior_of(&halving))
+                || balls.iter().all(|b| b.touches_exterior_of(&halving)),
+            "precondition lost: the root's halving routing is two-sided"
+        );
+        let tree = QueryTree::build::<3>(&balls, QueryTreeConfig::default(), 2);
+        assert!(
+            matches!(
+                &tree.root,
+                QNode::Internal {
+                    sep: Separator::Sphere(_),
+                    ..
+                }
+            ),
+            "the root did not take the backend's cut"
+        );
         assert_eq!(tree.stats().forced_leaves, 0, "{:?}", tree.stats());
         let probes = Workload::UniformCube.generate::<2>(100, 12);
-        for p in pts.iter().chain(&probes) {
+        for p in centers.iter().chain(&probes) {
             let mut fast = tree.covering(p);
             fast.sort_unstable();
-            let slow: Vec<u32> = (0..sys.balls().len() as u32)
-                .filter(|&i| sys.balls()[i as usize].contains(p))
+            let slow: Vec<u32> = (0..balls.len() as u32)
+                .filter(|&i| balls[i as usize].contains(p))
                 .collect();
             assert_eq!(fast, slow, "covering mismatch at {p:?}");
+        }
+    }
+
+    /// Internal nodes cut by a sphere: the backends' cuts (the halving
+    /// cut is a hyperplane).
+    fn sphere_nodes(node: &QNode<2>) -> usize {
+        match node {
+            QNode::Internal { sep, left, right } => {
+                usize::from(matches!(sep, Separator::Sphere(_)))
+                    + sphere_nodes(left)
+                    + sphere_nodes(right)
+            }
+            QNode::Leaf { .. } => 0,
+        }
+    }
+
+    #[test]
+    fn large_trees_route_probes_through_backend_spheres() {
+        // At twice the cutoff the root and at least one child ask the
+        // backend first, so probes descend through sphere nodes below the
+        // root.
+        let pts = Workload::UniformCube.generate::<2>(2 * crate::dc::HALVING_FIRST_BELOW, 13);
+        let knn = crate::kdtree::kdtree_all_knn(&pts, 2);
+        let sys = NeighborhoodSystem::from_knn(&pts, &knn);
+        let probes = Workload::UniformCube.generate::<2>(300, 14);
+        for kind in [SplitterKind::Random, SplitterKind::Graph] {
+            let cfg = QueryTreeConfig {
+                splitter: kind,
+                ..QueryTreeConfig::default()
+            };
+            let tree = QueryTree::build::<3>(sys.balls(), cfg, 3);
+            assert!(
+                matches!(
+                    &tree.root,
+                    QNode::Internal {
+                        sep: Separator::Sphere(_),
+                        ..
+                    }
+                ),
+                "{kind:?}: the root did not take the backend's cut"
+            );
+            assert!(
+                sphere_nodes(&tree.root) >= 2,
+                "{kind:?}: {:?}",
+                tree.stats()
+            );
+            for p in pts.iter().take(300).chain(&probes) {
+                let mut fast = tree.covering(p);
+                fast.sort_unstable();
+                let slow: Vec<u32> = (0..sys.balls().len() as u32)
+                    .filter(|&i| sys.balls()[i as usize].contains(p))
+                    .collect();
+                assert_eq!(fast, slow, "{kind:?}: covering mismatch at {p:?}");
+            }
         }
     }
 

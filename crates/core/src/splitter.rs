@@ -1,21 +1,23 @@
 //! Pluggable split-decision backends — the [`Splitter`] trait.
 //!
-//! Every sphere-separator split of the recursion engines ([`crate::parallel`],
-//! [`crate::query`]) routes through a `Splitter`, so the choice of
-//! dividing machinery is a configuration knob rather than a code path:
+//! The recursion engines ([`crate::parallel`], [`crate::query`]) ask a
+//! `Splitter` for the cut of every node of at least 2^14 items, so the
+//! choice of dividing machinery there is a configuration knob rather than
+//! a code path:
 //!
-//! * [`RandomSphere`] — the paper's engine, verbatim: the seeded
-//!   best-of-N sweep over unit-time MTTV sphere candidates with the
-//!   median-cut fallback. The default.
+//! * [`RandomSphere`] — the paper's engine, verbatim: the seeded retry
+//!   loop over unit-time MTTV sphere candidates with the median-cut
+//!   fallback. The default.
 //! * [`GraphSplitter`] — the `GraphSeparator` backend: a seed-free
 //!   BFS/greedy separator over the sparse intersection graph
 //!   ([`crate::graph_separator::grid_bfs_separator`]). The build is a pure
 //!   function of the point multiset and the configuration.
 //!
-//! A backend only proposes cuts. The shared driver (`dc.rs`) runs
-//! the same fallback chain under both: a derandomized halving cut when
-//! the backend has no cut, one halving rescue when an accepted cut routes
-//! every point to one side, then a forced leaf.
+//! A backend only proposes cuts. The shared driver (`dc.rs`) pairs it
+//! with the derandomized halving cut under both: smaller nodes try the
+//! halving cut first and the backend second, larger ones the reverse. The
+//! second cut is taken when the first has none, or tried once when the
+//! first routes every item to one side; then the node is a forced leaf.
 //!
 //! # Determinism contract
 //!
@@ -26,7 +28,7 @@
 
 use crate::graph_separator::grid_bfs_separator;
 use sepdc_geom::point::Point;
-use sepdc_separator::{find_good_separator_par, FoundSeparator, SearchOutcome, SeparatorConfig};
+use sepdc_separator::{find_good_separator_seeded, FoundSeparator, SearchOutcome, SeparatorConfig};
 
 /// Which split-decision backend drives a build.
 ///
@@ -89,8 +91,8 @@ impl SplitterKind {
 /// candidate generator works in.
 pub trait Splitter<const D: usize, const E: usize>: Send + Sync {
     /// Find a separator that δ-splits `points`, or `None` when the
-    /// backend is out of options (the driver then tries its halving
-    /// fallback). Must be a pure function of `(points, cfg, seed)`.
+    /// backend is out of options (the driver then tries the halving cut).
+    /// Must be a pure function of `(points, cfg, seed)`.
     fn split(
         &self,
         points: &[Point<D>],
@@ -111,7 +113,7 @@ impl<const D: usize, const E: usize> Splitter<D, E> for RandomSphere {
         cfg: &SeparatorConfig,
         seed: u64,
     ) -> Option<FoundSeparator<D>> {
-        find_good_separator_par::<D, E>(points, cfg, seed)
+        find_good_separator_seeded::<D, E>(points, cfg, seed)
     }
 }
 
@@ -175,7 +177,7 @@ mod tests {
         let pts = Workload::UniformCube.generate::<2>(3000, 1);
         let cfg = SeparatorConfig::default();
         let a = Splitter::<2, 3>::split(&RandomSphere, &pts, &cfg, 42).unwrap();
-        let b = find_good_separator_par::<2, 3>(&pts, &cfg, 42).unwrap();
+        let b = find_good_separator_seeded::<2, 3>(&pts, &cfg, 42).unwrap();
         assert_eq!(a.separator, b.separator);
         assert_eq!(a.counts, b.counts);
         assert_eq!(a.attempts, b.attempts);

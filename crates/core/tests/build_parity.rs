@@ -5,9 +5,12 @@
 //! for the `random` and `graph` backends over adversarial generators,
 //! over both the §6 k-NN recursion and the §3 query structure, using
 //! snapshot bytes as the strictest possible fingerprint (byte-identical
-//! trees, not just equal answers).
+//! trees, not just equal answers). The driver asks a backend first only
+//! at nodes of at least `HALVING_FIRST_BELOW` items, so the backends are
+//! pinned on inputs of that size; the small-input proptest pins the
+//! halving-first path below it.
 //!
-//! Also re-pins the seed=5028 / tol=0.5 degenerate rescue — the case
+//! Also re-pins the seed=8200 / tol=0.5 degenerate rescue — the case
 //! where the random search accepts a separator that routes every point
 //! one way and the driver's halving rescue must re-split instead of
 //! forcing a brute leaf — at every pool size.
@@ -17,7 +20,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sepdc_core::snapshot::save_query_tree;
 use sepdc_core::{
-    brute_force_knn, parallel_knn, KnnDcConfig, QueryTree, QueryTreeConfig, SplitterKind,
+    brute_force_knn, kdtree_all_knn, parallel_knn, KnnDcConfig, ParallelDcStats, QueryTree,
+    QueryTreeConfig, SplitterKind, HALVING_FIRST_BELOW,
 };
 use sepdc_geom::ball::Ball;
 use sepdc_geom::Point;
@@ -68,7 +72,7 @@ fn generate(selector: u32, n: usize, seed: u64) -> Vec<Point<2>> {
 /// Balls for the query-tree side: centers at the points, radius to the
 /// nearest neighbor (a miniature neighborhood system, deterministic).
 fn balls_of(points: &[Point<2>]) -> Vec<Ball<2>> {
-    let knn = brute_force_knn(points, 1);
+    let knn = kdtree_all_knn(points, 1);
     points
         .iter()
         .enumerate()
@@ -76,74 +80,144 @@ fn balls_of(points: &[Point<2>]) -> Vec<Ball<2>> {
         .collect()
 }
 
+/// Build `points` under `random` and `graph` in 1/2/7-thread pools and
+/// assert the builds are byte-identical: the §6 recursion (bit-exact
+/// neighbor lists + stats) and the §3 query tree (bit-exact snapshot
+/// bytes). Returns each backend's §6 stats.
+fn assert_builds_identical_across_pools(
+    points: &[Point<2>],
+    seed: u64,
+) -> Result<Vec<(SplitterKind, ParallelDcStats)>, TestCaseError> {
+    let balls = balls_of(points);
+    let mut per_kind = Vec::new();
+    for kind in [SplitterKind::Random, SplitterKind::Graph] {
+        let cfg = KnnDcConfig::new(2).with_seed(seed).with_splitter(kind);
+        let tree_cfg = QueryTreeConfig {
+            splitter: kind,
+            ..QueryTreeConfig::default()
+        };
+        let mut base: Option<(_, ParallelDcStats, Vec<u8>)> = None;
+        for threads in POOLS {
+            let (fp, stats, snap) = in_pool(
+                threads,
+                || {
+                    let out = parallel_knn::<2, 3>(points, &cfg);
+                    let tree = QueryTree::try_build::<3>(&balls, tree_cfg, seed).unwrap();
+                    (knn_fingerprint(&out), out.stats, save_query_tree(&tree))
+                },
+                std::marker::PhantomData,
+            );
+            match &base {
+                None => base = Some((fp, stats, snap)),
+                Some((base_fp, base_stats, base_snap)) => {
+                    prop_assert_eq!(
+                        &fp,
+                        base_fp,
+                        "{:?} knn differs at {} threads",
+                        kind,
+                        threads
+                    );
+                    prop_assert_eq!(
+                        &stats,
+                        base_stats,
+                        "{:?} stats differ at {} threads",
+                        kind,
+                        threads
+                    );
+                    prop_assert_eq!(
+                        &snap,
+                        base_snap,
+                        "{:?} snapshot differs at {} threads",
+                        kind,
+                        threads
+                    );
+                }
+            }
+        }
+        per_kind.push((kind, base.unwrap().1));
+    }
+    Ok(per_kind)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// `random` and `graph` builds are byte-identical across 1/2/7-thread
-    /// pools, for the §6 recursion (bit-exact neighbor lists + stats) and
-    /// the §3 query tree (bit-exact snapshot bytes).
+    /// Small inputs: every node is below the cutoff, so this pins the
+    /// halving-first path (and the backend only as a rescue).
     #[test]
     fn backends_build_identically_across_pools(
         selector in 0u32..4,
         n in 60usize..200,
         seed in 0u64..1 << 48,
     ) {
-        let points = generate(selector, n, seed);
-        let balls = balls_of(&points);
-        for kind in [SplitterKind::Random, SplitterKind::Graph] {
-            let cfg = KnnDcConfig::new(2).with_seed(seed).with_splitter(kind);
-            let tree_cfg = QueryTreeConfig { splitter: kind, ..QueryTreeConfig::default() };
-            let mut knn_base = None;
-            let mut snap_base: Option<Vec<u8>> = None;
-            for threads in POOLS {
-                let (fp, stats, snap) = in_pool(
-                    threads,
-                    || {
-                        let out = parallel_knn::<2, 3>(&points, &cfg);
-                        let tree =
-                            QueryTree::try_build::<3>(&balls, tree_cfg, seed).unwrap();
-                        (knn_fingerprint(&out), out.stats, save_query_tree(&tree))
-                    },
-                    std::marker::PhantomData,
-                );
-                match (&knn_base, &snap_base) {
-                    (None, _) => {
-                        knn_base = Some((fp, stats));
-                        snap_base = Some(snap);
-                    }
-                    (Some((base_fp, base_stats)), Some(base_snap)) => {
-                        prop_assert_eq!(
-                            &fp, base_fp,
-                            "{:?} knn differs at {} threads", kind, threads
-                        );
-                        prop_assert_eq!(
-                            &stats, base_stats,
-                            "{:?} stats differ at {} threads", kind, threads
-                        );
-                        prop_assert_eq!(
-                            &snap, base_snap,
-                            "{:?} snapshot differs at {} threads", kind, threads
-                        );
-                    }
-                    _ => unreachable!("bases are set together"),
+        assert_builds_identical_across_pools(&generate(selector, n, seed), seed)?;
+    }
+}
+
+/// Every generator at the cutoff: the root of both builds asks the backend
+/// first, so this pins `random` and `graph` inside the driver. `random`
+/// cuts every root; `graph` cuts the uniform and tolerance-band roots, and
+/// on duplicate bundles and the noisy line it returns no cut and the
+/// halving fallback cuts the root. Fails if a backend stops being asked or
+/// stops cutting where it cuts today.
+#[test]
+fn backends_build_identically_across_pools_at_the_cutoff() {
+    for selector in 0..4 {
+        let points = generate(selector, HALVING_FIRST_BELOW, 29 + u64::from(selector));
+        let per_kind = assert_builds_identical_across_pools(&points, 31).unwrap();
+        for (kind, stats) in per_kind {
+            // A backend search adds at least one candidate, a halving cut
+            // exactly one.
+            assert!(
+                stats.candidates > stats.halving_splits,
+                "selector {selector} {kind:?}: {stats:?}"
+            );
+            // Internal nodes are leaves - 1; those not cut by the halving
+            // cut were cut by the backend.
+            let backend = stats.base_leaves as u64 - 1 - stats.halving_splits;
+            match kind {
+                SplitterKind::Random => assert!(backend > 0, "selector {selector}: {stats:?}"),
+                SplitterKind::Graph => {
+                    assert_eq!(
+                        stats.graph_splits, backend,
+                        "selector {selector}: {stats:?}"
+                    );
+                    assert!(
+                        backend > 0 || selector % 2 == 1,
+                        "selector {selector}: {stats:?}"
+                    );
                 }
             }
         }
     }
 }
 
-/// The pinned seed=5028 / tol=0.5 degenerate case: the random search
+/// The pinned seed=8200 / tol=0.5 degenerate case: the random search
 /// accepts a one-sided separator, and the driver's halving rescue must
 /// re-split the node instead of forcing a brute leaf — with the same
-/// counters and bit-exact answers at every pool size.
+/// counters and bit-exact answers at every pool size. The input (the one
+/// `parallel.rs` pins the precondition on) is 64 uniform sites jittered
+/// into 2^14 points, so the root takes the backend's cut first.
 #[test]
 fn halving_rescue_is_pinned_and_pool_oblivious() {
-    let pts = Workload::UniformCube.generate::<2>(64, 0);
-    let mut cfg = KnnDcConfig::new(1).with_seed(5028);
+    use rand::Rng;
+    let sites = Workload::UniformCube.generate::<2>(64, 0);
+    let mut jitter = ChaCha8Rng::seed_from_u64(1);
+    let pts: Vec<Point<2>> = (0..1usize << 14)
+        .map(|i| {
+            let s = sites[i % 64];
+            Point::from([
+                s[0] + jitter.gen_range(-1e-3..1e-3),
+                s[1] + jitter.gen_range(-1e-3..1e-3),
+            ])
+        })
+        .collect();
+    let mut cfg = KnnDcConfig::new(1).with_seed(8200);
     cfg.base_case = Some(16);
     cfg.separator.tol = 0.5;
     cfg.separator.epsilon = 0.2;
     cfg.separator.max_attempts = 1;
+    let oracle = brute_force_knn(&pts, 1);
 
     let mut base = None;
     for threads in POOLS {
@@ -151,9 +225,7 @@ fn halving_rescue_is_pinned_and_pool_oblivious() {
             threads,
             || {
                 let out = parallel_knn::<2, 3>(&pts, &cfg);
-                out.knn
-                    .same_distances(&brute_force_knn(&pts, 1), 1e-12)
-                    .unwrap();
+                out.knn.same_distances(&oracle, 1e-12).unwrap();
                 (knn_fingerprint(&out), out.stats)
             },
             std::marker::PhantomData,

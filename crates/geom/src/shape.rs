@@ -61,17 +61,23 @@ impl<const D: usize> Separator<D> {
         self.side_with_tol(p, crate::EPS)
     }
 
-    /// `true` when the closed ball `B(p, r)` meets the separating surface.
-    /// This is the intersection-number predicate `ι_B(S)` of Section 2.1.
+    /// `true` when the closed ball `B(p, r)` meets the separating surface's
+    /// `EPS` band, which [`Self::side`] routes to the interior. This is the
+    /// intersection-number predicate `ι_B(S)` of Section 2.1: a ball that
+    /// reaches an interior-routed band point from outside crosses the cut
+    /// even when it stops short of the exact surface.
     pub fn intersects_ball(&self, p: &Point<D>, r: f64) -> bool {
+        let r = r + crate::EPS;
         match self {
             Separator::Sphere(s) => s.intersects_ball(p, r),
             Separator::Halfspace(h) => h.intersects_ball(p, r),
         }
     }
 
-    /// "Goes left" marching predicate: ball meets surface or interior.
+    /// "Goes left" marching predicate: the ball meets the interior or the
+    /// surface's `EPS` band, i.e. some point it holds routes interior.
     pub fn ball_touches_interior(&self, p: &Point<D>, r: f64) -> bool {
+        let r = r + crate::EPS;
         match self {
             Separator::Sphere(s) => s.ball_touches_interior(p, r),
             Separator::Halfspace(h) => h.ball_touches_interior(p, r),
@@ -146,6 +152,28 @@ mod tests {
         // Surface stays surface.
         let s = Point::from([1.0, 3.0]);
         assert_eq!(flipped.side(&s), Side::Surface);
+    }
+
+    #[test]
+    fn ball_reaching_the_band_crosses_and_touches_interior() {
+        // The ball stops 0.5 EPS past the surface: it misses the exact
+        // surface but holds a band point that routes interior.
+        let eps = crate::EPS;
+        let seps: [Separator<2>; 2] = [
+            Hyperplane::axis_aligned(0, 1.0).into(),
+            Sphere::new(Point::origin(), 1.0).into(),
+        ];
+        for sep in seps {
+            let (p, r) = (Point::from([1.0 + 1.5 * eps, 0.0]), eps);
+            let band = Point::from([1.0 + 0.5 * eps, 0.0]);
+            assert!(sep.side(&band).routes_interior());
+            assert!(sep.intersects_ball(&p, r), "{sep:?}");
+            assert!(sep.ball_touches_interior(&p, r), "{sep:?}");
+            // Past the band the ball reaches only the exterior.
+            let far = Point::from([1.0 + 3.0 * eps, 0.0]);
+            assert!(!sep.intersects_ball(&far, r), "{sep:?}");
+            assert!(!sep.ball_touches_interior(&far, r), "{sep:?}");
+        }
     }
 
     #[test]

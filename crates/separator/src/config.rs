@@ -21,12 +21,6 @@ pub struct SeparatorConfig {
     /// deterministic median cut (the theory gives success probability
     /// ≥ 1/2 per candidate, so this is hit with probability `2^-max`).
     pub max_attempts: usize,
-    /// Candidates evaluated per speculative wave by the parallel sweep
-    /// ([`find_good_separator_par`](crate::find_good_separator_par)).
-    /// The sweep always selects the lowest-indexed acceptable candidate,
-    /// so this knob moves wall-clock only — never the output. `1` (or a
-    /// single-thread pool) degenerates to the serial short-circuit scan.
-    pub sweep_width: usize,
     /// Numeric tolerance for classification.
     pub tol: f64,
 }
@@ -44,7 +38,6 @@ impl Default for SeparatorConfig {
                 rounds_factor: 4,
             },
             max_attempts: 48,
-            sweep_width: 4,
             tol: 1e-9,
         }
     }

@@ -94,8 +94,8 @@ pub fn median_cut_widest<const D: usize>(points: &[Point<D>]) -> Option<Separato
 ///
 /// The result is a pure function of the point multiset — no RNG, no
 /// dependence on input order beyond the multiset of coordinates — which is
-/// what lets the divide-and-conquer driver's halving fallback and rescue
-/// stay byte-identical across thread counts.
+/// what lets the divide-and-conquer driver's halving cuts stay
+/// byte-identical across thread counts.
 ///
 /// Returns `None` only when every point is identical.
 pub fn halving_cut_widest<const D: usize>(points: &[Point<D>]) -> Option<Separator<D>> {

@@ -29,5 +29,5 @@ pub mod search;
 pub use config::SeparatorConfig;
 pub use quality::{delta_default, intersection_number, split_counts, SplitCounts};
 pub use search::{
-    candidate_seed, find_good_separator, find_good_separator_par, FoundSeparator, SearchOutcome,
+    candidate_seed, find_good_separator, find_good_separator_seeded, FoundSeparator, SearchOutcome,
 };

@@ -19,7 +19,6 @@ use crate::mttv::unit_time_candidate;
 use crate::quality::{is_good_point_split, split_counts, SplitCounts};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use sepdc_geom::point::Point;
 use sepdc_geom::shape::Separator;
 
@@ -30,8 +29,8 @@ pub enum SearchOutcome {
     Random,
     /// The deterministic median-cut fallback was used.
     Fallback,
-    /// A derandomized halving cut engaged after the splitter backend found
-    /// no separator (the divide-and-conquer driver's fallback).
+    /// The derandomized widest-axis halving cut: the divide-and-conquer
+    /// driver's first cut below 2^14 items, its fallback and rescue above.
     Halving,
     /// A BFS/greedy separator over the sparse ball-intersection graph was
     /// accepted (the `graph` splitter backend).
@@ -144,28 +143,18 @@ fn eval_candidate<const D: usize, const E: usize>(
     is_good_point_split(&counts, delta).then_some((sep, counts))
 }
 
-/// Points-per-candidate threshold below which the sweep never forks: a
-/// candidate's dominant cost is the `O(m)` [`split_counts`] scan, so tiny
-/// subsets are cheaper to scan serially than to schedule.
-const SWEEP_MIN_POINTS: usize = 2048;
-
-/// Seeded, thread-count-oblivious separator search: the best-of-N sweep.
+/// Seeded, thread-count-oblivious separator search.
 ///
 /// Semantically identical to [`find_good_separator`] with a fresh
 /// `ChaCha8Rng` per candidate (see [`candidate_seed`]): candidates are
-/// conceptually evaluated in index order and the **lowest-indexed
-/// acceptable candidate wins**, with `attempts = winner + 1` and the
-/// median-cut fallback after `max_attempts` rejections. Because that
-/// selection rule fixes the output independently of evaluation order, the
-/// implementation is free to score candidates speculatively: on a
-/// multi-thread pool it evaluates waves of [`SeparatorConfig::sweep_width`]
-/// candidates in parallel, keeps the lowest-indexed winner, and exits
-/// early — no remaining candidate can beat an accepted one from an earlier
-/// wave. The returned separator, counts, attempts, and outcome are a pure
-/// function of `(points, cfg, seed)` for every thread count, which is what
-/// lets the tree builders call this from inside `rayon::join` without
+/// evaluated in index order and the **first acceptable candidate wins**,
+/// with `attempts = winner + 1` and the median-cut fallback after
+/// `max_attempts` rejections. No candidate's stream depends on another's
+/// draws, so the returned separator, counts, attempts, and outcome are a
+/// pure function of `(points, cfg, seed)` for every thread count, which is
+/// what lets the tree builders call this from inside `rayon::join` without
 /// breaking build determinism.
-pub fn find_good_separator_par<const D: usize, const E: usize>(
+pub fn find_good_separator_seeded<const D: usize, const E: usize>(
     points: &[Point<D>],
     cfg: &SeparatorConfig,
     seed: u64,
@@ -174,45 +163,15 @@ pub fn find_good_separator_par<const D: usize, const E: usize>(
         return None;
     }
     let delta = cfg.delta(D);
-    let accept = |attempt: usize, sep: Separator<D>, counts: SplitCounts| FoundSeparator {
-        separator: sep,
-        counts,
-        attempts: attempt + 1,
-        outcome: SearchOutcome::Random,
-    };
-    // Wall-clock-only gate: with one worker, a width-1 sweep, or a subset
-    // too small to amortize forking, the serial scan keeps the exact
-    // short-circuit cost (one candidate on the expected path). Legal to
-    // branch on the pool size because both paths compute the same function.
-    let wave_width = cfg.sweep_width.min(cfg.max_attempts);
-    if wave_width <= 1 || points.len() < SWEEP_MIN_POINTS || rayon::current_num_threads() <= 1 {
-        for attempt in 0..cfg.max_attempts {
-            if let Some((sep, counts)) = eval_candidate::<D, E>(points, cfg, delta, seed, attempt) {
-                return Some(accept(attempt, sep, counts));
-            }
+    for attempt in 0..cfg.max_attempts {
+        if let Some((sep, counts)) = eval_candidate::<D, E>(points, cfg, delta, seed, attempt) {
+            return Some(FoundSeparator {
+                separator: sep,
+                counts,
+                attempts: attempt + 1,
+                outcome: SearchOutcome::Random,
+            });
         }
-        return fallback(points, cfg);
-    }
-    let mut base = 0;
-    while base < cfg.max_attempts {
-        let wave = wave_width.min(cfg.max_attempts - base);
-        // Order-preserving collect, then first acceptable in index order:
-        // the whole wave is speculative work-in-flight, but the selection
-        // is by candidate index, so the winner matches the serial scan.
-        let winner = (0..wave)
-            .into_par_iter()
-            .map(|j| {
-                eval_candidate::<D, E>(points, cfg, delta, seed, base + j)
-                    .map(|(sep, counts)| (base + j, sep, counts))
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flatten()
-            .next();
-        if let Some((attempt, sep, counts)) = winner {
-            return Some(accept(attempt, sep, counts));
-        }
-        base += wave;
     }
     fallback(points, cfg)
 }
@@ -301,51 +260,26 @@ mod tests {
         assert!(found.counts.left() > 0 && found.counts.right() > 0);
     }
 
-    /// Serial reference for the sweep: evaluate candidates strictly in
-    /// index order with per-candidate seeding and take the first winner.
-    fn seeded_reference(
-        pts: &[Point<2>],
-        cfg: &SeparatorConfig,
-        seed: u64,
-    ) -> Option<FoundSeparator<2>> {
-        let delta = cfg.delta(2);
-        for attempt in 0..cfg.max_attempts {
-            if let Some((sep, counts)) = eval_candidate::<2, 3>(pts, cfg, delta, seed, attempt) {
-                return Some(FoundSeparator {
-                    separator: sep,
-                    counts,
-                    attempts: attempt + 1,
-                    outcome: SearchOutcome::Random,
-                });
-            }
-        }
-        fallback(pts, cfg)
-    }
-
     #[test]
-    fn sweep_matches_serial_reference_for_every_pool_size() {
-        // The contract the parallel builders rely on: the sweep's output is
-        // a pure function of (points, cfg, seed), whatever the pool size.
-        let pts = uniform_square(SWEEP_MIN_POINTS + 500, 21);
+    fn sweep_is_identical_for_every_pool_size() {
+        // The contract the parallel builders rely on: the search's output
+        // is a pure function of (points, cfg, seed), whatever the pool
+        // size it runs in.
+        let pts = uniform_square(2500, 21);
         let cfg = SeparatorConfig::default();
+        let in_pool = |threads: usize, seed: u64| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| find_good_separator_seeded::<2, 3>(&pts, &cfg, seed))
+                .map(|f| (f.separator, f.counts, f.attempts, f.outcome))
+        };
         for seed in [0u64, 7, 5028, 0xDEADBEEF] {
-            let reference = seeded_reference(&pts, &cfg, seed);
-            for threads in [1usize, 2, 5] {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                let got = pool.install(|| find_good_separator_par::<2, 3>(&pts, &cfg, seed));
-                match (&reference, &got) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        assert_eq!(a.separator, b.separator, "seed {seed} x{threads}");
-                        assert_eq!(a.counts, b.counts, "seed {seed} x{threads}");
-                        assert_eq!(a.attempts, b.attempts, "seed {seed} x{threads}");
-                        assert_eq!(a.outcome, b.outcome, "seed {seed} x{threads}");
-                    }
-                    other => panic!("seed {seed} x{threads}: mismatch {other:?}"),
-                }
+            let one = in_pool(1, seed);
+            assert!(one.is_some(), "seed {seed}");
+            for threads in [2usize, 5] {
+                assert_eq!(in_pool(threads, seed), one, "seed {seed} x{threads}");
             }
         }
     }
@@ -365,7 +299,7 @@ mod tests {
             assert_eq!(candidate_seed(seed, 0), seed);
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let a = find_good_separator::<2, 3, _>(&pts, &cfg, &mut rng);
-            let b = find_good_separator_par::<2, 3>(&pts, &cfg, seed);
+            let b = find_good_separator_seeded::<2, 3>(&pts, &cfg, seed);
             assert_eq!(
                 a.as_ref().map(|f| (f.separator, f.counts, f.attempts)),
                 b.as_ref().map(|f| (f.separator, f.counts, f.attempts)),
@@ -378,14 +312,14 @@ mod tests {
     fn sweep_small_inputs_and_fallback() {
         // Below the two-point floor.
         let one = vec![Point::<2>::origin()];
-        assert!(find_good_separator_par::<2, 3>(&one, &SeparatorConfig::default(), 1).is_none());
+        assert!(find_good_separator_seeded::<2, 3>(&one, &SeparatorConfig::default(), 1).is_none());
         // Zero attempts forces the fallback, same as the rng-based search.
         let pts = uniform_square(500, 23);
         let cfg = SeparatorConfig {
             max_attempts: 0,
             ..Default::default()
         };
-        let found = find_good_separator_par::<2, 3>(&pts, &cfg, 9).unwrap();
+        let found = find_good_separator_seeded::<2, 3>(&pts, &cfg, 9).unwrap();
         assert_eq!(found.outcome, SearchOutcome::Fallback);
         // Identical points cannot be split at all.
         let same = vec![Point::<2>::splat(1.0); 100];
@@ -393,7 +327,7 @@ mod tests {
             max_attempts: 4,
             ..Default::default()
         };
-        assert!(find_good_separator_par::<2, 3>(&same, &cfg4, 6).is_none());
+        assert!(find_good_separator_seeded::<2, 3>(&same, &cfg4, 6).is_none());
     }
 
     #[test]

@@ -106,6 +106,36 @@ pub fn tolerance_band_cluster<const D: usize, R: Rng>(
         .collect()
 }
 
+/// A strip of `n - 2` uniform points plus one far outlier on each side of
+/// it along axis 0. The strip is `width` wide along axis 0 and
+/// `L = n^(1/(D-1))` long on every other axis, so neighbors sit about one
+/// unit apart; the outliers sit `2L` out (at `-2L` and `2L`, centered on
+/// the other axes).
+///
+/// Built against the widest-axis halving cut: the outliers make axis 0
+/// the widest at every subset that holds one, so the cut splits the strip
+/// across its width, and with `width` well below one every k-NN ball
+/// crosses it. A sphere separator still crosses few.
+pub fn outlier_strip<const D: usize, R: Rng>(n: usize, width: f64, rng: &mut R) -> Vec<Point<D>> {
+    let len = (n.max(1) as f64).powf(1.0 / (D.max(2) - 1) as f64);
+    let mut pts: Vec<Point<D>> = (0..n.saturating_sub(2))
+        .map(|_| {
+            let mut c = [0.0; D];
+            c[0] = rng.gen_range(0.0..width.max(f64::MIN_POSITIVE));
+            for v in &mut c[1..] {
+                *v = rng.gen_range(0.0..len);
+            }
+            Point(c)
+        })
+        .collect();
+    for x in [-2.0 * len, 2.0 * len].into_iter().take(n) {
+        let mut c = [len / 2.0; D];
+        c[0] = x;
+        pts.push(Point(c));
+    }
+    pts
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,5 +185,15 @@ mod tests {
             assert!((p.0[0] - 0.5).abs() <= 1e-12);
             assert!(p.is_finite());
         }
+    }
+
+    #[test]
+    fn outlier_strip_is_thin_but_widest_along_axis_0() {
+        let pts = outlier_strip::<2, _>(100, 0.01, &mut rng(5));
+        assert_eq!(pts.len(), 100);
+        let (strip, outliers) = pts.split_at(98);
+        assert!(strip.iter().all(|p| (0.0..0.01).contains(&p.0[0])));
+        assert!(strip.iter().all(|p| (0.0..100.0).contains(&p.0[1])));
+        assert_eq!(outliers, [Point([-200.0, 50.0]), Point([200.0, 50.0])]);
     }
 }

@@ -7,12 +7,16 @@
 //! RNG stream from the root seed and the node's root-to-node path, and the
 //! parallel sweep/partition/march paths are all order-preserving, so this
 //! holds by construction; these tests pin it through the public facade.
+//! The uniform, clustered and query-structure inputs exceed
+//! `HALVING_FIRST_BELOW`, so their top nodes take the default backend's
+//! sphere; the smaller inputs pin the halving-first path below it.
 
 use sepdc::core::serve::{CoverPredicate, ServeConfig};
 use sepdc::core::{
     parallel_knn, KnnDcConfig, NeighborhoodSystem, ParallelDcOutput, PartitionNode, QueryTree,
-    QueryTreeConfig,
+    QueryTreeConfig, HALVING_FIRST_BELOW,
 };
+use sepdc::geom::Separator;
 use sepdc::workloads::Workload;
 
 const POOLS: [usize; 3] = [1, 2, 7];
@@ -63,7 +67,25 @@ fn assert_outputs_identical(a: &ParallelDcOutput<2>, b: &ParallelDcOutput<2>, ct
     );
 }
 
-fn check_workload(w: Workload, n: usize, k: usize, seed: u64) {
+/// Internal nodes cut by a sphere: the backend's cuts (the halving cut
+/// is a hyperplane).
+fn sphere_splits(out: &ParallelDcOutput<2>) -> usize {
+    out.tree
+        .nodes()
+        .iter()
+        .filter(|n| {
+            matches!(
+                n,
+                PartitionNode::Internal {
+                    sep: Separator::Sphere(_),
+                    ..
+                }
+            )
+        })
+        .count()
+}
+
+fn check_workload(w: Workload, n: usize, k: usize, seed: u64) -> ParallelDcOutput<2> {
     let pts = w.generate::<2>(n, seed);
     let cfg = KnnDcConfig::new(k).with_seed(seed ^ 0x5EED);
     let baseline = in_pool(1, || parallel_knn::<2, 3>(&pts, &cfg));
@@ -72,16 +94,19 @@ fn check_workload(w: Workload, n: usize, k: usize, seed: u64) {
         let out = in_pool(threads, || parallel_knn::<2, 3>(&pts, &cfg));
         assert_outputs_identical(&out, &baseline, &format!("{} {threads} threads", w.name()));
     }
+    baseline
 }
 
 #[test]
 fn construction_identical_across_pools_uniform() {
-    check_workload(Workload::UniformCube, 3000, 3, 41);
+    let out = check_workload(Workload::UniformCube, 20_000, 3, 41);
+    assert!(sphere_splits(&out) > 0, "no backend cut: {:?}", out.stats);
 }
 
 #[test]
 fn construction_identical_across_pools_clustered() {
-    check_workload(Workload::Clusters, 3000, 3, 42);
+    let out = check_workload(Workload::Clusters, 20_000, 3, 42);
+    assert!(sphere_splits(&out) > 0, "no backend cut: {:?}", out.stats);
 }
 
 #[test]
@@ -113,7 +138,8 @@ fn query_structure_build_identical_across_pools() {
     // The Section 3 build shares the sweep + path-seeding machinery; its
     // internal node type is private, so parity is pinned through stats,
     // the work/depth profile, and behavior on a fixed probe batch.
-    let pts = Workload::Clusters.generate::<2>(2500, 47);
+    let pts = Workload::Clusters.generate::<2>(20_000, 47);
+    assert!(pts.len() >= HALVING_FIRST_BELOW);
     let knn = in_pool(1, || parallel_knn::<2, 3>(&pts, &KnnDcConfig::new(3)));
     let sys = NeighborhoodSystem::from_knn(&pts, &knn.knn);
     let probes = Workload::UniformCube.generate::<2>(2000, 48);

@@ -5,9 +5,11 @@
 //! their radius at `INFINITY` and every result must pass
 //! `check_invariants`.
 
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use sepdc::core::{
     brute_force_knn, parallel_knn, simple_parallel_knn, try_parallel_knn, try_simple_parallel_knn,
-    KnnDcConfig, KnnResult, SepdcError,
+    KnnDcConfig, KnnResult, NeighborhoodSystem, Precision, QueryTree, QueryTreeConfig, SepdcError,
 };
 use sepdc::geom::Point;
 use sepdc::workloads::{degenerate, rng, Workload};
@@ -114,6 +116,48 @@ fn tolerance_band_cluster_terminates_and_matches() {
     // routing. Must terminate (degenerate-split guard) and stay correct.
     let pts = degenerate::tolerance_band_cluster::<2, _>(200, 1e-12, &mut rng(34));
     check_all_algorithms(&pts, 2, 11, "tolerance-band");
+}
+
+/// 20k points jittered by 1e-6: neighbor gaps are ~1e-8, so many points sit
+/// in a separator's `EPS` = 1e-9 surface band, which routes them to the
+/// interior side.
+fn band_cloud(seed: u64) -> Vec<Point<2>> {
+    degenerate::tolerance_band_cluster::<2, _>(20_000, 1e-6, &mut ChaCha8Rng::seed_from_u64(seed))
+}
+
+#[test]
+fn balls_reaching_the_eps_band_are_corrected() {
+    // A ball centered just outside a separator that holds an interior-routed
+    // band point, without reaching the exact surface, must still count as
+    // crossing; otherwise that point's list is never corrected.
+    for s in 0..=5 {
+        let pts = band_cloud(s);
+        let oracle = brute_force_knn(&pts, 4);
+        for precision in [Precision::Exact, Precision::Mixed] {
+            let cfg = KnnDcConfig::new(4).with_seed(3).with_precision(precision);
+            parallel_knn::<2, 3>(&pts, &cfg)
+                .knn
+                .identical_to(&oracle)
+                .unwrap_or_else(|e| panic!("s={s} {precision:?}: {e}"));
+        }
+    }
+}
+
+#[test]
+fn query_tree_covers_probes_in_the_eps_band() {
+    // The same band defect in the query tree: a ball reaching the band but
+    // not the surface would miss the interior child.
+    let pts = band_cloud(1);
+    let sys = NeighborhoodSystem::from_knn(&pts, &brute_force_knn(&pts, 4));
+    let tree = QueryTree::build::<3>(sys.balls(), QueryTreeConfig::default(), 5);
+    for p in &pts {
+        let mut fast = tree.covering(p);
+        fast.sort_unstable();
+        let slow: Vec<u32> = (0..sys.balls().len() as u32)
+            .filter(|&i| sys.balls()[i as usize].contains(p))
+            .collect();
+        assert_eq!(fast, slow, "covering mismatch at {p:?}");
+    }
 }
 
 #[test]
