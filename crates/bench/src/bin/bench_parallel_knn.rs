@@ -19,7 +19,7 @@
 //! with the numbers.
 
 use sepdc_bench::harness::{host_info, json_str, timed, HostInfo, Table};
-use sepdc_core::{parallel_knn, KnnDcConfig, KnnResult, ParallelDcOutput, Precision};
+use sepdc_core::{parallel_knn, KnnDcConfig, KnnResult, ParallelDcOutput};
 use sepdc_workloads::Workload;
 
 struct Case {
@@ -53,7 +53,7 @@ type CaseReport = (String, f64, String, u64);
 
 /// FNV-1a-64 over every `(idx, dist_sq)` pair of the result, in row order
 /// with raw f64 bits — a byte-parity fingerprint the CI smoke can compare
-/// across tiers and against the checked-in baseline artifact.
+/// against the checked-in baseline artifact.
 fn result_hash(knn: &KnnResult) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |byte: u8| {
@@ -63,7 +63,12 @@ fn result_hash(knn: &KnnResult) -> u64 {
     for i in 0..knn.len() {
         for n in knn.neighbors(i) {
             n.idx.to_le_bytes().iter().copied().for_each(&mut eat);
-            n.dist_sq.to_bits().to_le_bytes().iter().copied().for_each(&mut eat);
+            n.dist_sq
+                .to_bits()
+                .to_le_bytes()
+                .iter()
+                .copied()
+                .for_each(&mut eat);
         }
     }
     h
@@ -74,11 +79,10 @@ fn run_case<const D: usize, const E: usize>(
     reports: &mut Vec<CaseReport>,
     c: &Case,
     reps: usize,
-    precision: Precision,
 ) -> (f64, ParallelDcOutput<D>) {
     reset_peak_rss();
     let pts = c.workload.generate::<D>(c.n, 7);
-    let cfg = KnnDcConfig::new(c.k).with_seed(3).with_precision(precision);
+    let cfg = KnnDcConfig::new(c.k).with_seed(3);
     let mut secs = Vec::with_capacity(reps);
     let mut out = None;
     for _ in 0..reps {
@@ -91,20 +95,13 @@ fn run_case<const D: usize, const E: usize>(
     let out = out.unwrap();
     let punts = out.stats.punts_threshold + out.stats.punts_marching;
     let hwm = vm_hwm_kb().map_or_else(|| "n/a".into(), |kb| format!("{:.1}", kb as f64 / 1024.0));
-    // The default (mixed) tier keeps the bare label the CI perf smoke
-    // looks up; the exact-tier A/B row rides under a suffixed label.
-    let tier_suffix = match precision {
-        Precision::Mixed => "",
-        Precision::Exact => " [exact]",
-    };
-    let label = format!(
-        "{} {}d n={} k={}{tier_suffix}",
-        c.workload.name(),
-        D,
-        c.n,
-        c.k
-    );
-    reports.push((label.clone(), median, out.report.to_json(), result_hash(&out.knn)));
+    let label = format!("{} {}d n={} k={}", c.workload.name(), D, c.n, c.k);
+    reports.push((
+        label.clone(),
+        median,
+        out.report.to_json(),
+        result_hash(&out.knn),
+    ));
     table.row(
         label,
         vec![
@@ -188,55 +185,10 @@ fn main() {
     let mut acceptance: Option<f64> = None;
     let mut reports: Vec<CaseReport> = Vec::new();
     for c in &cases_2d {
-        let (median, out) = run_case::<2, 3>(&mut table, &mut reports, c, reps, Precision::Mixed);
+        let (median, out) = run_case::<2, 3>(&mut table, &mut reports, c, reps);
         out.knn.check_invariants().expect("invariants");
-        // Tier A/B rides on the full-size acceptance case whether this is
-        // the full artifact run or the CI `--acceptance` smoke (the smoke's
-        // scaled-down cases never match).
         if c.workload == Workload::UniformCube && c.n == 100_000 {
             acceptance = Some(median);
-            // Tier A/B on the acceptance case: the exact tier must produce
-            // byte-identical lists (hash parity), the mixed tier must never
-            // observe a violation of the certified f32 lower bound, and the
-            // f64 correction work must measurably drop. Any failure exits
-            // nonzero — this is the CI gate of the precision tier, not just
-            // a report.
-            let (exact_median, exact_out) =
-                run_case::<2, 3>(&mut table, &mut reports, c, reps, Precision::Exact);
-            let mixed_hash = reports[reports.len() - 2].3;
-            let exact_hash = reports[reports.len() - 1].3;
-            assert_eq!(
-                mixed_hash, exact_hash,
-                "precision tiers disagree on the acceptance case"
-            );
-            assert_eq!(
-                out.meter.unsafe_margin_hits, 0,
-                "mixed tier observed certified-bound violations on the acceptance case"
-            );
-            assert!(
-                out.meter.correction_dist_evals < exact_out.meter.correction_dist_evals,
-                "mixed tier did not reduce f64 correction dist evals \
-                 ({} vs exact {})",
-                out.meter.correction_dist_evals,
-                exact_out.meter.correction_dist_evals,
-            );
-            table.note(format!(
-                "precision tier A/B (acceptance case): f64 correction dist evals \
-                 {} (mixed) vs {} (exact) = {:.1}% fewer; {} f32 rejects, \
-                 {} certified-bound violations; result hash {:#018x} both \
-                 tiers; mixed {:.3} s vs exact {:.3} s",
-                out.meter.correction_dist_evals,
-                exact_out.meter.correction_dist_evals,
-                100.0
-                    * (1.0
-                        - out.meter.correction_dist_evals as f64
-                            / exact_out.meter.correction_dist_evals.max(1) as f64),
-                out.meter.f32_rejects,
-                out.meter.unsafe_margin_hits,
-                mixed_hash,
-                median,
-                exact_median,
-            ));
         }
     }
     if !acceptance_only {
@@ -245,7 +197,7 @@ fn main() {
             n: 50_000 / scale,
             k: 4,
         };
-        let (_, out3) = run_case::<3, 4>(&mut table, &mut reports, &c3, reps, Precision::Mixed);
+        let (_, out3) = run_case::<3, 4>(&mut table, &mut reports, &c3, reps);
         out3.knn.check_invariants().expect("invariants");
     }
 

@@ -1,6 +1,8 @@
 //! Small table/series printing and fitting utilities shared by all
 //! experiments.
 
+pub use sepdc_core::report::json_str;
+
 /// One printed row: label plus formatted cells.
 #[derive(Clone, Debug)]
 pub struct Row {
@@ -143,25 +145,6 @@ impl Table {
         s.push_str("}\n");
         s
     }
-}
-
-/// Escape and quote one JSON string.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn json_str_array(items: &[String]) -> String {

@@ -27,18 +27,15 @@ sepdc — separator based divide and conquer in computational geometry
 USAGE:
   sepdc generate  --workload NAME --n N [--dim D] [--seed S] [--out FILE]
   sepdc knn       --input FILE [--dim D] [--k K] [--algo parallel|simple|kdtree|brute]
-                  [--seed S] [--splitter random|graph]
-                  [--precision exact|mixed] [--epsilon E]
+                  [--seed S] [--splitter random|graph] [--epsilon E]
                   [--edges-out FILE] [--report FILE]
   sepdc query     --input FILE [--dim D] [--k K] [--probes FILE |
                   --probe-workload NAME --probe-n N] [--interior]
                   [--chunk N] [--seed S] [--splitter random|graph]
-                  [--precision exact|mixed] [--epsilon E]
-                  [--out FILE] [--report FILE]
+                  [--epsilon E] [--out FILE] [--report FILE]
   sepdc report    --input FILE
   sepdc index build   --input FILE --out FILE [--dim D] [--k K] [--seed S]
-                      [--splitter random|graph]
-                      [--precision exact|mixed] [--epsilon E]
+                      [--splitter random|graph] [--epsilon E]
                       [--sharded [--staging N]]
   sepdc index inspect --input FILE
   sepdc serve     --index FILE [--interior] [--chunk N] [--batch-max N]
@@ -76,12 +73,10 @@ intersection graph). Under both, a deterministic halving cut splits
 nodes the backend cannot and rescues cuts that route every point one
 way. Snapshots remember the backend that built them.
 
-`--precision` selects the filtering tier: `mixed` (default) pre-rejects
-candidates with certified f32 bounds and confirms survivors in f64 —
-answers stay byte-identical to `exact`. `--epsilon E` (0 < E ≤ 1) opts
-into (1+ε)-approximate answers: knn relaxes correction radii and runs
-the exact algorithm alongside to measure an error certificate; query
-serves with an ε-relaxed cover predicate. Snapshots remember both.";
+`--epsilon E` (0 < E ≤ 1) opts into (1+ε)-approximate answers: knn
+relaxes correction radii and runs the exact algorithm alongside to
+measure an error certificate; query serves with an ε-relaxed cover
+predicate. Snapshots remember ε.";
 
 fn read_text_file(path: &str) -> CliResult<String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -173,7 +168,6 @@ fn run() -> CliResult<()> {
                 "algo",
                 "seed",
                 "splitter",
-                "precision",
                 "epsilon",
                 "edges-out",
                 "report",
@@ -189,7 +183,6 @@ fn run() -> CliResult<()> {
                 args.get_or("algo", "parallel"),
                 args.num_or("seed", 42)?,
                 commands::splitter_by_name(args.get_or("splitter", "random"))?,
-                commands::precision_by_name(args.get_or("precision", "mixed"))?,
                 args.num_or("epsilon", 0.0)?,
             )?;
             eprintln!("{}", out.summary);
@@ -223,7 +216,6 @@ fn run() -> CliResult<()> {
                 "chunk",
                 "seed",
                 "splitter",
-                "precision",
                 "epsilon",
                 "out",
                 "report",
@@ -247,7 +239,6 @@ fn run() -> CliResult<()> {
                 args.num_or("seed", 42)?,
                 args.num_or("chunk", 1024)?,
                 commands::splitter_by_name(args.get_or("splitter", "random"))?,
-                commands::precision_by_name(args.get_or("precision", "mixed"))?,
                 args.num_or("epsilon", 0.0)?,
             )?;
             eprintln!("{}", out.summary);
@@ -273,16 +264,7 @@ fn run() -> CliResult<()> {
         }
         "index-build" => {
             let unknown = args.unknown_flags(&[
-                "input",
-                "dim",
-                "k",
-                "seed",
-                "splitter",
-                "precision",
-                "epsilon",
-                "out",
-                "sharded",
-                "staging",
+                "input", "dim", "k", "seed", "splitter", "epsilon", "out", "sharded", "staging",
             ]);
             if !unknown.is_empty() {
                 return Err(format!("unknown flags: {}", unknown.join(", ")));
@@ -303,7 +285,7 @@ fn run() -> CliResult<()> {
                 args.num_or("seed", 42)?,
                 sharded,
                 commands::splitter_by_name(args.get_or("splitter", "random"))?,
-                commands::precision_by_name(args.get_or("precision", "mixed"))?,
+                Default::default(),
                 args.num_or("epsilon", 0.0)?,
             )?;
             write_atomic(out_path, &built.snapshot)

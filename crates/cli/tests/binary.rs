@@ -245,6 +245,20 @@ fn missing_input_is_a_clean_error() {
 }
 
 #[test]
+fn precision_flag_is_gone() {
+    for cmd in [&["knn"][..], &["query"], &["index", "build"]] {
+        let out = bin()
+            .args(cmd)
+            .args(["--input", "pts.csv", "--precision", "mixed"])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{cmd:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown flags: precision"), "{cmd:?}: {err}");
+    }
+}
+
+#[test]
 fn index_build_inspect_serve_pipeline() {
     use std::io::{BufRead, BufReader, Write};
     use std::process::Stdio;

@@ -133,10 +133,6 @@ fn correct_unbounded<const D: usize>(
     unbounded: &[u32],
     opposite: &[u32],
 ) {
-    // Deliberately f64-only in every precision tier: an unbounded owner has
-    // an infinite cached radius (its list is under-full), so the certified
-    // f32 lower bound can never reject a candidate here — a f32 pre-pass
-    // would be pure overhead on an already rare path.
     let one = |&o: &u32| {
         // One blocked distance sweep per owner, then a batched merge (the
         // cached radius is loaded once per batch; `merge_candidate`
@@ -160,16 +156,8 @@ fn correct_unbounded<const D: usize>(
 /// every point of the subset; a point strictly inside a crossing ball from
 /// the *opposite* side is merged into that ball owner's list.
 ///
-/// In the mixed precision tier (`qcfg.precision`) the leaf cover scans run
-/// through the tiered f32 kernel inside the tree, and the owner-distance
-/// merge pass pre-rejects owners whose certified f32 lower bound already
-/// exceeds the owner's cached squared radius: `merge_candidate` would
-/// fast-reject those in f64 anyway (the cached radius only shrinks, so a
-/// stale read over-admits), which keeps the lists byte-identical while
-/// skipping the f64 gather for them.
-///
 /// Returns the work–depth cost of the build plus the query sweep, and the
-/// accumulated precision-tier filter counters.
+/// accumulated ε skip count of the leaf cover scans.
 pub(crate) fn correct_via_query<const D: usize, const E: usize>(
     soa: &SoaPoints<D>,
     lists: &SharedLists,
@@ -184,7 +172,6 @@ pub(crate) fn correct_via_query<const D: usize, const E: usize>(
     let balls: Vec<Ball<D>> = crossing.iter().map(|c| c.ball).collect();
     let tree = QueryTree::build::<E>(&balls, qcfg, seed);
     let height = tree.stats().height as u64;
-    let mixed = qcfg.precision.is_mixed();
 
     // Every subset point queries the structure; merges go through the
     // shared lists (order-independent). Chunks reuse one set of scratch
@@ -192,18 +179,14 @@ pub(crate) fn correct_via_query<const D: usize, const E: usize>(
     // run through the blocked SoA kernels.
     let process = |ids: &[u32]| -> FilterStats {
         let mut stats = FilterStats::default();
-        let mut scratch32: Vec<f32> = Vec::new();
         let mut scratch: Vec<f64> = Vec::new();
         let mut hits: Vec<u32> = Vec::new();
         let mut owners: Vec<u32> = Vec::new();
-        let mut survivors: Vec<u32> = Vec::new();
-        let mut survivor_d32: Vec<f32> = Vec::new();
-        let mut dists32: Vec<f32> = Vec::new();
         let mut dists: Vec<f64> = Vec::new();
         for &p_id in ids {
             let p = soa.point(p_id as usize);
             hits.clear();
-            tree.covering_into(&p, true, &mut scratch32, &mut scratch, &mut hits, &mut stats);
+            tree.covering_into(&p, true, &mut scratch, &mut hits, &mut stats);
             // Which side is this point on? Determined by ownership: a point
             // corrects only balls owned by the *other* side. We recover the
             // side from the crossing metadata at merge time instead of
@@ -218,44 +201,8 @@ pub(crate) fn correct_via_query<const D: usize, const E: usize>(
             if owners.is_empty() {
                 continue;
             }
-            let bound = mixed.then(|| soa.f32_bound(&p));
-            let merge_list: &[u32] = if let Some(bound) = bound {
-                // f32 pre-pass: reject owners whose certified lower bound
-                // already exceeds their cached squared radius. Safe because
-                // the cached radius is monotone non-increasing, so
-                // `lb > cached_now ⟹ d64 > cached_at_merge` and
-                // `merge_candidate` would be a no-op.
-                soa.dist_sq_f32_gather_into(&p, &owners, &mut dists32);
-                survivors.clear();
-                survivor_d32.clear();
-                for (&o, &d32) in owners.iter().zip(&dists32) {
-                    if bound.lower_bound(d32) > lists.radius_sq(o as usize) {
-                        stats.f32_rejects += 1;
-                    } else {
-                        survivors.push(o);
-                        survivor_d32.push(d32);
-                    }
-                }
-                stats.f64_confirms += survivors.len() as u64;
-                &survivors
-            } else {
-                &owners
-            };
-            if merge_list.is_empty() {
-                continue;
-            }
-            soa.dist_sq_gather_into(&p, merge_list, &mut dists);
-            if let Some(bound) = bound {
-                // Empirical bound validation: the exact distance can never
-                // fall below the certified f32 lower bound (DESIGN.md §17).
-                // CI gates this counter at zero.
-                for (&d64, &d32) in dists.iter().zip(&survivor_d32) {
-                    if bound.lower_bound(d32) > d64 {
-                        stats.unsafe_margin_hits += 1;
-                    }
-                }
-            }
-            for (&o, &d) in merge_list.iter().zip(&dists) {
+            soa.dist_sq_gather_into(&p, &owners, &mut dists);
+            for (&o, &d) in owners.iter().zip(&dists) {
                 lists.merge_candidate(o as usize, p_id, d);
             }
         }
@@ -352,7 +299,7 @@ mod tests {
         }
         let subset: Vec<u32> = (0..20).collect();
         let soa = SoaPoints::from_points(&points);
-        correct_via_query::<1, 2>(
+        let (_, stats) = correct_via_query::<1, 2>(
             &soa,
             &lists,
             &subset,
@@ -360,46 +307,10 @@ mod tests {
             QueryTreeConfig::default(),
             7,
         );
+        assert_eq!(stats, FilterStats::default(), "exact mode skips nothing");
         let result = lists.into_result();
         let oracle = crate::brute::brute_force_knn(&points, 2);
         result.same_distances(&oracle, 1e-12).unwrap();
-    }
-
-    #[test]
-    fn query_correction_tiers_agree_and_mixed_reports_stats() {
-        use crate::config::Precision;
-        let subset: Vec<u32> = (0..20).collect();
-        let mut results = Vec::new();
-        let mut stats_by_tier = Vec::new();
-        for precision in [Precision::Exact, Precision::Mixed] {
-            let (points, lists, left, right, sep) = line_fixture(20, 2, 9.5);
-            let mut crossing = Vec::new();
-            for ids in [&left, &right] {
-                let (c, _, _) = collect_crossing(&points, &lists, ids, &sep, 1.0);
-                crossing.extend(c);
-            }
-            let soa = SoaPoints::from_points(&points);
-            let qcfg = QueryTreeConfig {
-                precision,
-                ..QueryTreeConfig::default()
-            };
-            let (_, stats) = correct_via_query::<1, 2>(&soa, &lists, &subset, &crossing, qcfg, 7);
-            stats_by_tier.push(stats);
-            results.push(lists.into_result());
-        }
-        // Byte-identical lists across tiers.
-        for i in 0..20 {
-            assert_eq!(results[0].neighbors(i), results[1].neighbors(i));
-        }
-        let exact = &stats_by_tier[0];
-        let mixed = &stats_by_tier[1];
-        assert_eq!(exact.f32_rejects, 0);
-        assert_eq!(exact.f64_confirms, 0);
-        // Mixed mode actually exercised the filter and never observed a
-        // violation of the certified bound.
-        assert!(mixed.f32_rejects + mixed.f64_confirms > 0);
-        assert_eq!(mixed.unsafe_margin_hits, 0);
-        assert_eq!(mixed.eps_skips, 0);
     }
 
     #[test]

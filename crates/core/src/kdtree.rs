@@ -2,12 +2,11 @@
 //! Vaidya's algorithm in the work comparison) and the verification range
 //! searcher.
 
-use crate::config::Precision;
 use crate::error::{validate_k, validate_points, SepdcError};
 use crate::knn::{KnnResult, Neighbor};
 use rayon::prelude::*;
 use sepdc_geom::point::Point;
-use sepdc_geom::soa::{F32Bound, FilterStats, SoaPoints};
+use sepdc_geom::soa::SoaPoints;
 
 const LEAF_SIZE: usize = 16;
 
@@ -132,59 +131,26 @@ impl<'a, const D: usize> KdTree<'a, D> {
 
     /// The `k` nearest points to `query`, excluding index `exclude`
     /// (pass `u32::MAX` to exclude nothing). Ascending distance, ties by
-    /// index. Runs the default (mixed) precision tier — byte-identical to
-    /// the exact tier by the DESIGN.md §17 safe-reject contract.
+    /// index.
     pub fn knn(&self, query: &Point<D>, k: usize, exclude: u32) -> Vec<Neighbor> {
-        self.knn_with(
-            query,
-            k,
-            exclude,
-            Precision::default(),
-            &mut FilterStats::default(),
-        )
-    }
-
-    /// [`Self::knn`] with an explicit precision tier and a filter-counter
-    /// sink. In the mixed tier, leaf tiles are scanned in f32 first and a
-    /// candidate is skipped only when its certified lower bound strictly
-    /// exceeds the current k-th distance — ties break by index, so a tie
-    /// must always confirm in f64. Both tiers return identical bytes.
-    pub fn knn_with(
-        &self,
-        query: &Point<D>,
-        k: usize,
-        exclude: u32,
-        precision: Precision,
-        stats: &mut FilterStats,
-    ) -> Vec<Neighbor> {
         let mut best: Vec<Neighbor> = Vec::with_capacity(k + 1);
         if !self.ids.is_empty() {
-            // One certified bound per query: the arena magnitude is cached,
-            // only the query magnitudes vary.
-            let bound = precision.is_mixed().then(|| self.soa.f32_bound(query));
-            self.knn_rec(self.root, query, k, exclude, bound, &mut best, stats);
+            self.knn_rec(self.root, query, k, exclude, &mut best);
         }
         best
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn knn_rec(
         &self,
         node: u32,
         query: &Point<D>,
         k: usize,
         exclude: u32,
-        bound: Option<F32Bound>,
         best: &mut Vec<Neighbor>,
-        stats: &mut FilterStats,
     ) {
         match &self.nodes[node as usize] {
             Node::Leaf { start, end } => {
-                let (s, e) = (*start as usize, *end as usize);
-                match bound {
-                    None => self.scan_leaf_exact(s, e, query, k, exclude, best),
-                    Some(b) => self.scan_leaf_mixed(s, e, query, k, exclude, b, best, stats),
-                }
+                self.scan_leaf(*start as usize, *end as usize, query, k, exclude, best)
             }
             Node::Internal {
                 axis,
@@ -198,7 +164,7 @@ impl<'a, const D: usize> KdTree<'a, D> {
                 } else {
                     (*right, *left)
                 };
-                self.knn_rec(near, query, k, exclude, bound, best, stats);
+                self.knn_rec(near, query, k, exclude, best);
                 // Visit the far side only if it can still contain a winner.
                 let worst = if best.len() == k {
                     best[k - 1].dist_sq
@@ -206,17 +172,17 @@ impl<'a, const D: usize> KdTree<'a, D> {
                     f64::INFINITY
                 };
                 if diff * diff <= worst {
-                    self.knn_rec(far, query, k, exclude, bound, best, stats);
+                    self.knn_rec(far, query, k, exclude, best);
                 }
             }
         }
     }
 
-    /// Exact leaf scan: distances for the whole leaf through the blocked
-    /// SoA kernel (leaves are contiguous in permuted order), then a scalar
+    /// Leaf scan: distances for the whole leaf through the blocked SoA
+    /// kernel (leaves are contiguous in permuted order), then a scalar
     /// insertion pass. Oversized all-identical leaves are walked in
     /// LEAF_SIZE tiles so the buffer stays on the stack.
-    fn scan_leaf_exact(
+    fn scan_leaf(
         &self,
         s: usize,
         e: usize,
@@ -237,68 +203,6 @@ impl<'a, const D: usize> KdTree<'a, D> {
                     continue;
                 }
                 Self::insert_neighbor(best, k, i, d);
-            }
-            pos += m;
-        }
-    }
-
-    /// Mixed-tier leaf scan: the tile runs through the f32 kernel and a
-    /// candidate is dropped when `lb(d32) > tail.dist_sq` — strictly
-    /// greater, because a candidate tying the k-th distance can still win
-    /// on index and must confirm in f64. Survivors recompute the exact
-    /// distance through the scalar kernel (bit-identical to the blocked
-    /// f64 tile by the parity contract), so the result bytes match
-    /// [`Self::scan_leaf_exact`].
-    #[allow(clippy::too_many_arguments)]
-    fn scan_leaf_mixed(
-        &self,
-        s: usize,
-        e: usize,
-        query: &Point<D>,
-        k: usize,
-        exclude: u32,
-        bound: F32Bound,
-        best: &mut Vec<Neighbor>,
-        stats: &mut FilterStats,
-    ) {
-        let mut buf32 = [0.0f32; LEAF_SIZE];
-        let mut pos = s;
-        while pos < e {
-            let m = (e - pos).min(LEAF_SIZE);
-            let d32s = &mut buf32[..m];
-            self.soa.dist_sq_f32_range(query, pos, d32s);
-            for (off, &d32) in d32s.iter().enumerate() {
-                let i = self.ids[pos + off];
-                if i == exclude {
-                    continue;
-                }
-                if best.len() == k {
-                    let tail = best[k - 1].dist_sq;
-                    let lb = bound.lower_bound(d32);
-                    if lb > tail {
-                        stats.f32_rejects += 1;
-                        continue;
-                    }
-                    let d = self.soa.dist_sq_to(query, pos + off);
-                    stats.f64_confirms += 1;
-                    if lb > d {
-                        // Exact distance below the certified lower bound:
-                        // the DESIGN.md §17 analysis is violated and the
-                        // reject above would have been unsound. CI gates
-                        // this at zero.
-                        stats.unsafe_margin_hits += 1;
-                    }
-                    Self::insert_neighbor(best, k, i, d);
-                } else {
-                    // List not full yet: every candidate is a confirm;
-                    // still validate the certified bound against it.
-                    let d = self.soa.dist_sq_to(query, pos + off);
-                    stats.f64_confirms += 1;
-                    if bound.lower_bound(d32) > d {
-                        stats.unsafe_margin_hits += 1;
-                    }
-                    Self::insert_neighbor(best, k, i, d);
-                }
             }
             pos += m;
         }
@@ -403,41 +307,24 @@ pub fn kdtree_all_knn<const D: usize>(points: &[Point<D>], k: usize) -> KnnResul
 }
 
 /// Total variant of [`kdtree_all_knn`]: rejects `k = 0` and non-finite
-/// coordinates with a typed [`SepdcError`] instead of panicking. Runs the
-/// default (mixed) precision tier.
+/// coordinates with a typed [`SepdcError`] instead of panicking.
 pub fn try_kdtree_all_knn<const D: usize>(
     points: &[Point<D>],
     k: usize,
 ) -> Result<KnnResult, SepdcError> {
-    try_kdtree_all_knn_with(points, k, Precision::default()).map(|(r, _)| r)
-}
-
-/// [`try_kdtree_all_knn`] with an explicit precision tier, returning the
-/// accumulated filter counters alongside the (tier-independent) result.
-pub fn try_kdtree_all_knn_with<const D: usize>(
-    points: &[Point<D>],
-    k: usize,
-    precision: Precision,
-) -> Result<(KnnResult, FilterStats), SepdcError> {
     validate_k(k)?;
     validate_points(points)?;
     let tree = KdTree::build(points);
-    let lists: Vec<(Vec<Neighbor>, FilterStats)> = points
+    let lists: Vec<Vec<Neighbor>> = points
         .par_iter()
         .enumerate()
-        .map(|(i, p)| {
-            let mut stats = FilterStats::default();
-            let l = tree.knn_with(p, k, i as u32, precision, &mut stats);
-            (l, stats)
-        })
+        .map(|(i, p)| tree.knn(p, k, i as u32))
         .collect();
     let mut result = KnnResult::new(points.len(), k);
-    let mut stats = FilterStats::default();
-    for (i, (l, s)) in lists.iter().enumerate() {
+    for (i, l) in lists.iter().enumerate() {
         result.set_list(i, l);
-        stats.merge(s);
     }
-    Ok((result, stats))
+    Ok(result)
 }
 
 #[cfg(test)]
@@ -597,43 +484,6 @@ mod tests {
         let mut pts = random_points::<2>(50, 7);
         pts[23].0[1] = f64::NAN;
         let _ = kdtree_all_knn(&pts, 2);
-    }
-
-    #[test]
-    fn precision_tiers_are_byte_identical() {
-        let pts = random_points::<3>(600, 9);
-        for k in [1, 4, 9] {
-            let (exact, es) = try_kdtree_all_knn_with(&pts, k, Precision::Exact).unwrap();
-            let (mixed, ms) = try_kdtree_all_knn_with(&pts, k, Precision::Mixed).unwrap();
-            for i in 0..pts.len() {
-                assert_eq!(exact.neighbors(i), mixed.neighbors(i), "point {i} k {k}");
-            }
-            assert_eq!(es, FilterStats::default(), "exact tier touched counters");
-            assert!(ms.f32_rejects > 0, "mixed tier never certified a reject");
-            assert!(ms.f64_confirms > 0);
-            assert_eq!(ms.unsafe_margin_hits, 0, "certified bound violated");
-            assert_eq!(ms.eps_skips, 0, "kd scan has no ε relaxation");
-        }
-    }
-
-    #[test]
-    fn mixed_tier_ties_confirm_in_f64() {
-        // A grid with massive duplicate distances: every candidate ties,
-        // so the strict `lb > tail` reject must never fire on a tie and
-        // the index tiebreak must survive the mixed tier bit-for-bit.
-        let mut pts = Vec::new();
-        for i in 0..12 {
-            for j in 0..12 {
-                pts.push(Point::<2>::from([i as f64, j as f64]));
-            }
-        }
-        pts.extend_from_slice(&[Point::from([6.0, 6.0]); 4]);
-        let (exact, _) = try_kdtree_all_knn_with(&pts, 5, Precision::Exact).unwrap();
-        let (mixed, ms) = try_kdtree_all_knn_with(&pts, 5, Precision::Mixed).unwrap();
-        for i in 0..pts.len() {
-            assert_eq!(exact.neighbors(i), mixed.neighbors(i), "point {i}");
-        }
-        assert_eq!(ms.unsafe_margin_hits, 0);
     }
 
     #[test]

@@ -304,7 +304,10 @@ impl ErrorCertificate {
                 "certificate.mismatched_entries".to_string(),
                 self.mismatched_entries as f64,
             ),
-            ("certificate.short_ranks".to_string(), self.short_ranks as f64),
+            (
+                "certificate.short_ranks".to_string(),
+                self.short_ranks as f64,
+            ),
         ]
     }
 }

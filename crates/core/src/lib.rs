@@ -68,7 +68,7 @@ pub use dc::HALVING_FIRST_BELOW;
 pub use error::SepdcError;
 pub use graph::KnnGraph;
 pub use graph_separator::{sphere_graph_separator, GraphSeparator};
-pub use kdtree::{kdtree_all_knn, try_kdtree_all_knn, try_kdtree_all_knn_with, KdTree};
+pub use kdtree::{kdtree_all_knn, try_kdtree_all_knn, KdTree};
 pub use knn::{ErrorCertificate, KnnResult, Neighbor};
 pub use neighborhood::NeighborhoodSystem;
 pub use parallel::{parallel_knn, try_parallel_knn, ParallelDcOutput, ParallelDcStats};

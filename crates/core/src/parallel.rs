@@ -23,7 +23,6 @@ use crate::dc::{partition_points, Driver, Engine, Leaf, Node, Rule};
 use crate::error::{validate_points, SepdcError};
 use crate::knn::{brute_list_soa_into, KnnResult};
 use crate::partition_tree::{march_arena_par, PartitionNode, PartitionTree};
-use crate::query::QueryTreeConfig;
 use crate::report::{cost_counters, meter_counters, stats_counters, Phase, RunRecorder, RunReport};
 use crate::seeding::punt_seed;
 use crate::shared::SharedLists;
@@ -32,7 +31,7 @@ use rayon::prelude::*;
 use sepdc_geom::aabb::Aabb;
 use sepdc_geom::point::Point;
 use sepdc_geom::shape::Separator;
-use sepdc_geom::soa::{FilterStats, SoaPoints};
+use sepdc_geom::soa::SoaPoints;
 use sepdc_scan::cost::{CostMeter, MeterSnapshot};
 use sepdc_scan::CostProfile;
 use sepdc_separator::SearchOutcome;
@@ -296,7 +295,6 @@ pub(crate) fn knn_report<const D: usize, const E: usize>(
         ("depth_limit".to_string(), driver.depth_limit as f64),
         ("record".to_string(), f64::from(u8::from(cfg.record))),
         ("splitter".to_string(), cfg.splitter.code() as f64),
-        ("precision".to_string(), cfg.precision.code() as f64),
         ("epsilon".to_string(), cfg.epsilon),
     ];
     RunReport {
@@ -413,7 +411,7 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
                 self.cfg.epsilon,
             )
         });
-        self.meter.add_precision(0, 0, 0, eps_skips);
+        self.meter.add_eps_skips(eps_skips);
 
         let crossing_total = cross_l.len() + cross_r.len();
         self.obs.add_crossing(depth, crossing_total as u64);
@@ -433,15 +431,6 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
         stats.halving_rescues += u64::from(node.rescued);
 
         let qseed = punt_seed(node.seed);
-        // The top-level precision knob is authoritative for the punt path
-        // even when the caller built the config by struct literal and left
-        // `cfg.query` untouched. Its ε stays `cfg.query.epsilon` (0 by
-        // default): the punt tree is built over already-shrunk balls, so a
-        // second relaxation would double-count ε.
-        let qcfg = QueryTreeConfig {
-            precision: self.cfg.precision,
-            ..self.cfg.query
-        };
         // Fast Correction unless the separator was unlucky: march each
         // side's crossers down the opposite subtree (already merged into
         // `nodes`, leaf ranges indexing this call's id slice). `None`: too
@@ -480,14 +469,18 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
             let mut crossing = cross_l;
             crossing.extend(cross_r);
             self.obs.time(Phase::PuntCorrection, || {
-                let (cost, fstats) =
-                    correct_via_query::<D, E>(self.soa, self.lists, ids, &crossing, qcfg, qseed);
-                self.meter.add_precision(
-                    fstats.f32_rejects,
-                    fstats.f64_confirms,
-                    fstats.unsafe_margin_hits,
-                    fstats.eps_skips,
+                // The punt tree's ε stays `cfg.query.epsilon` (0 by
+                // default): it is built over already-shrunk balls, so a
+                // second relaxation would double-count ε.
+                let (cost, fstats) = correct_via_query::<D, E>(
+                    self.soa,
+                    self.lists,
+                    ids,
+                    &crossing,
+                    self.cfg.query,
+                    qseed,
                 );
+                self.meter.add_eps_skips(fstats.eps_skips);
                 cost
             })
         };
@@ -532,7 +525,6 @@ fn try_fast_correction<const D: usize>(
     let mut work = 0u64;
     let mut max_ratio = 0.0f64;
     let limit_f = limit as f64;
-    let mixed = ctx.cfg.precision.is_mixed();
     for (crossers, opposite_root) in [(cross_l, r_root), (cross_r, l_root)] {
         if crossers.is_empty() {
             continue;
@@ -555,137 +547,59 @@ fn try_fast_correction<const D: usize>(
         max_ratio = max_ratio.max(out.max_active_per_level as f64 / limit_f);
         // Candidate fix: one blocked distance sweep per crosser, then a
         // batched merge (radius loaded once per batch; `merge_candidate`
-        // re-checks under the row lock, so lists are unchanged). In the
-        // mixed tier a certified f32 pre-pass drops candidates the merge
-        // would reject anyway, so only survivors pay the f64 sweep —
-        // `distance_evals` counts survivors, which is the measured saving.
-        // Keep the k closest (merge handles it). Each crosser touches only
-        // its own owner's row and the shared-store merge is
-        // order-independent, so the fix loop fans out across the pool when
-        // the crossing set is large; meter totals are added once per side
-        // either way.
-        let (evals, fstats) = if crossers.len() >= FIX_PAR_MIN_CROSSERS
-            && rayon::current_num_threads() > 1
-        {
-            let (_, evals, stats) = (0..crossers.len())
+        // re-checks under the row lock, so lists are unchanged). Keep the
+        // k closest (merge handles it). Each crosser touches only its own
+        // owner's row and the shared-store merge is order-independent, so
+        // the fix loop fans out across the pool when the crossing set is
+        // large; meter totals are added once per side either way.
+        let evals = if crossers.len() >= FIX_PAR_MIN_CROSSERS && rayon::current_num_threads() > 1 {
+            (0..crossers.len())
                 .into_par_iter()
                 .fold(
-                    || (FixScratch::default(), 0u64, FilterStats::default()),
-                    |(mut scratch, mut evals, mut stats), ci| {
-                        evals += fix_crosser(
-                            ctx,
-                            mixed,
-                            &crossers[ci],
-                            &out.candidates[ci],
-                            &mut scratch,
-                            &mut stats,
-                        );
-                        (scratch, evals, stats)
+                    || (Vec::new(), 0u64),
+                    |(mut dists, evals), ci| {
+                        let e = fix_crosser(ctx, &crossers[ci], &out.candidates[ci], &mut dists);
+                        (dists, evals + e)
                     },
                 )
-                .reduce(
-                    || (FixScratch::default(), 0u64, FilterStats::default()),
-                    |mut a, b| {
-                        a.1 += b.1;
-                        a.2.merge(&b.2);
-                        a
-                    },
-                );
-            (evals, stats)
+                .reduce(|| (Vec::new(), 0u64), |a, b| (a.0, a.1 + b.1))
+                .1
         } else {
-            let mut scratch = FixScratch::default();
-            let mut stats = FilterStats::default();
-            let mut evals = 0u64;
-            for (c, cands) in crossers.iter().zip(&out.candidates) {
-                evals += fix_crosser(ctx, mixed, c, cands, &mut scratch, &mut stats);
-            }
-            (evals, stats)
+            let mut dists = Vec::new();
+            crossers
+                .iter()
+                .zip(&out.candidates)
+                .map(|(c, cands)| fix_crosser(ctx, c, cands, &mut dists))
+                .sum()
         };
         work += evals;
         ctx.meter.add_distance_evals(evals);
         ctx.meter.add_correction_dist_evals(evals);
-        ctx.meter.add_precision(
-            fstats.f32_rejects,
-            fstats.f64_confirms,
-            fstats.unsafe_margin_hits,
-            fstats.eps_skips,
-        );
     }
     Some((work, max_ratio))
 }
 
-/// Reusable buffers for one worker's pass over the candidate-fix loop.
-#[derive(Default)]
-struct FixScratch {
-    dists32: Vec<f32>,
-    survivors: Vec<u32>,
-    survivor_d32: Vec<f32>,
-    dists: Vec<f64>,
-}
-
 /// Fix one crossing ball against its marched candidate set; returns the
-/// number of f64 distance evaluations spent (the full candidate count in
-/// exact mode, only the f32-filter survivors in mixed mode).
-///
-/// Mixed-tier safety: `merge_batch` admits a candidate only when
-/// `d < r²  ∧  d ≤ cached_radius²`, and the cached radius is monotone
-/// non-increasing under merges, so a candidate whose certified lower bound
-/// satisfies `lb ≥ r²` or `lb > cached` can never be admitted — dropping it
-/// before the f64 sweep leaves the lists byte-identical.
+/// number of distance evaluations spent (one per candidate). `dists` is a
+/// reusable distance buffer.
 fn fix_crosser<const D: usize>(
     ctx: &Ctx<'_, D>,
-    mixed: bool,
     c: &CrossingBall<D>,
     cands: &[u32],
-    scratch: &mut FixScratch,
-    stats: &mut FilterStats,
+    dists: &mut Vec<f64>,
 ) -> u64 {
     #[cfg(debug_assertions)]
     for &q in cands {
         debug_assert_ne!(q, c.owner, "opposite subtree cannot contain the owner");
     }
-    let owner_pt = ctx.points[c.owner as usize];
-    let r_sq = c.ball.radius * c.ball.radius;
-    let bound = (mixed && !cands.is_empty()).then(|| ctx.soa.f32_bound(&owner_pt));
-    let merge_list: &[u32] = if let Some(bound) = bound {
-        ctx.soa
-            .dist_sq_f32_gather_into(&owner_pt, cands, &mut scratch.dists32);
-        let cached = ctx.lists.radius_sq(c.owner as usize);
-        scratch.survivors.clear();
-        scratch.survivor_d32.clear();
-        for (&q, &d32) in cands.iter().zip(&scratch.dists32) {
-            let lb = bound.lower_bound(d32);
-            if lb >= r_sq || lb > cached {
-                stats.f32_rejects += 1;
-            } else {
-                scratch.survivors.push(q);
-                scratch.survivor_d32.push(d32);
-            }
-        }
-        stats.f64_confirms += scratch.survivors.len() as u64;
-        &scratch.survivors
-    } else {
-        cands
-    };
-    if merge_list.is_empty() {
+    if cands.is_empty() {
         return 0;
     }
-    ctx.soa
-        .dist_sq_gather_into(&owner_pt, merge_list, &mut scratch.dists);
-    if let Some(bound) = bound {
-        // Empirical bound validation on every survivor: the exact distance
-        // can never fall below the certified f32 lower bound. A hit means
-        // the DESIGN.md §17 analysis is violated and the rejects above
-        // would have been unsound. CI gates this at zero.
-        for (&d64, &d32) in scratch.dists.iter().zip(&scratch.survivor_d32) {
-            if bound.lower_bound(d32) > d64 {
-                stats.unsafe_margin_hits += 1;
-            }
-        }
-    }
-    ctx.lists
-        .merge_batch(c.owner as usize, merge_list, &scratch.dists, r_sq);
-    merge_list.len() as u64
+    let owner_pt = ctx.points[c.owner as usize];
+    let r_sq = c.ball.radius * c.ball.radius;
+    ctx.soa.dist_sq_gather_into(&owner_pt, cands, dists);
+    ctx.lists.merge_batch(c.owner as usize, cands, dists, r_sq);
+    cands.len() as u64
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! `O(n)`, query `O(log n + m₀)`; parallel construction in `O(log n)`
 //! rounds w.h.p. (Theorem 3.1).
 
-use crate::config::{eps_cover_scale, Precision};
+use crate::config::eps_cover_scale;
 use crate::dc::{Driver, Engine, Leaf, Node, Rule};
 use crate::error::{validate_points, SepdcError};
 use crate::report::{cost_counters, stats_counters, RunRecorder, RunReport};
@@ -55,12 +55,6 @@ pub struct QueryTreeConfig {
     /// attributed to their caller's `punt-correction` phase, so per-node
     /// instrumentation inside those builds would only add overhead.
     pub record: bool,
-    /// Distance-evaluation tier for the leaf cover scans (DESIGN.md §17).
-    /// [`Precision::Mixed`] (the default) pre-rejects candidates through the
-    /// f32 shadow kernels with a certified lower bound and confirms only
-    /// survivors in f64 — answers stay byte-identical to
-    /// [`Precision::Exact`].
-    pub precision: Precision,
     /// Cover-filter relaxation ε ∈ [0, 1]. When nonzero, leaf scans may
     /// skip balls whose squared radius exceeds the probe distance by less
     /// than a `(1+ε)²` factor; skips are counted in the filter stats so the
@@ -76,7 +70,6 @@ impl Default for QueryTreeConfig {
             splitter: SplitterKind::Random,
             parallel_cutoff: 4096,
             record: false,
-            precision: Precision::default(),
             epsilon: 0.0,
         }
     }
@@ -138,9 +131,6 @@ pub struct QueryTree<const D: usize> {
     /// Which split-decision backend built this tree (round-tripped through
     /// snapshots).
     splitter: SplitterKind,
-    /// Distance tier for leaf cover scans (round-tripped through
-    /// snapshots).
-    precision: Precision,
     /// Cover-filter relaxation ε (round-tripped through snapshots).
     epsilon: f64,
 }
@@ -248,7 +238,6 @@ impl<const D: usize> QueryTree<D> {
                 ),
                 ("record".to_string(), f64::from(u8::from(cfg.record))),
                 ("splitter".to_string(), cfg.splitter.code() as f64),
-                ("precision".to_string(), cfg.precision.code() as f64),
                 ("epsilon".to_string(), cfg.epsilon),
             ],
             phases: obs.phases(),
@@ -264,7 +253,6 @@ impl<const D: usize> QueryTree<D> {
             cost: built.cost,
             report,
             splitter: cfg.splitter,
-            precision: cfg.precision,
             epsilon: cfg.epsilon,
         })
     }
@@ -300,7 +288,6 @@ impl<const D: usize> QueryTree<D> {
             p,
             false,
             &mut Vec::new(),
-            &mut Vec::new(),
             &mut out,
             &mut FilterStats::default(),
         );
@@ -316,7 +303,6 @@ impl<const D: usize> QueryTree<D> {
             p,
             true,
             &mut Vec::new(),
-            &mut Vec::new(),
             &mut out,
             &mut FilterStats::default(),
         );
@@ -326,28 +312,24 @@ impl<const D: usize> QueryTree<D> {
     /// Scratch-reusing cover query: appends to `out` the ids of all balls
     /// containing `p` (open interior when `open`), in leaf order, and
     /// returns the number of tree nodes visited. The leaf scan runs through
-    /// the tiered [`SoaBalls`] kernel honoring the tree's precision tier
-    /// and ε; `scratch32`/`scratch` are reusable distance buffers so batch
-    /// callers ([`serve`](crate::serve), the punt correction) do no
-    /// per-probe allocation, and `stats` accumulates the `precision.*`
-    /// filter counters.
+    /// the ε-aware [`SoaBalls`] kernel honoring the tree's ε; `scratch` is
+    /// a reusable distance buffer so batch callers ([`serve`](crate::serve),
+    /// the punt correction) do no per-probe allocation, and `stats`
+    /// accumulates the ε skip count.
     pub(crate) fn covering_into(
         &self,
         p: &Point<D>,
         open: bool,
-        scratch32: &mut Vec<f32>,
         scratch: &mut Vec<f64>,
         out: &mut Vec<u32>,
         stats: &mut FilterStats,
     ) -> usize {
         let (leaf, visited) = self.descend_counted(p);
-        self.soa.filter_covering_tiered_into(
+        self.soa.filter_covering_eps_into(
             p,
             leaf,
             open,
-            self.precision.is_mixed(),
             eps_cover_scale(self.epsilon),
-            scratch32,
             scratch,
             out,
             stats,
@@ -405,7 +387,6 @@ impl<const D: usize> QueryTree<D> {
         cost: CostProfile,
         seed: u64,
         splitter: SplitterKind,
-        precision: Precision,
         epsilon: f64,
         load_elapsed: std::time::Duration,
     ) -> Self {
@@ -434,7 +415,6 @@ impl<const D: usize> QueryTree<D> {
             cost,
             report,
             splitter,
-            precision,
             epsilon,
         }
     }
@@ -443,12 +423,6 @@ impl<const D: usize> QueryTree<D> {
     /// metadata when the tree came from a snapshot).
     pub fn splitter(&self) -> SplitterKind {
         self.splitter
-    }
-
-    /// The distance-evaluation tier this tree's leaf scans run in
-    /// (restored from metadata when the tree came from a snapshot).
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// The cover-filter relaxation ε this tree was built with (`0.0` =

@@ -352,28 +352,7 @@ pub fn meter_counters(m: &MeterSnapshot) -> Vec<(String, f64)> {
             "meter.correction_dist_evals".into(),
             m.correction_dist_evals as f64,
         ),
-        ("precision.f32_rejects".into(), m.f32_rejects as f64),
-        ("precision.f64_confirms".into(), m.f64_confirms as f64),
-        (
-            "precision.unsafe_margin_hits".into(),
-            m.unsafe_margin_hits as f64,
-        ),
         ("precision.eps_skips".into(), m.eps_skips as f64),
-    ]
-}
-
-/// Counters of a precision-tier filter pass under the `precision.` prefix
-/// — used by algorithms without an event meter (the Section 5 recursion
-/// accumulates a [`sepdc_geom::soa::FilterStats`] directly).
-pub fn precision_counters(s: &sepdc_geom::soa::FilterStats) -> Vec<(String, f64)> {
-    vec![
-        ("precision.f32_rejects".into(), s.f32_rejects as f64),
-        ("precision.f64_confirms".into(), s.f64_confirms as f64),
-        (
-            "precision.unsafe_margin_hits".into(),
-            s.unsafe_margin_hits as f64,
-        ),
-        ("precision.eps_skips".into(), s.eps_skips as f64),
     ]
 }
 
@@ -560,14 +539,9 @@ impl RunReport {
         if !self.config.is_empty() {
             s.push_str("\nconfig:\n");
             for (name, v) in &self.config {
-                // The precision tier and ε knob echo as raw numbers in the
-                // JSON; spell them out for humans (DESIGN.md §17).
+                // The ε knob echoes as a raw number in the JSON; spell it
+                // out for humans (DESIGN.md §17).
                 match name.as_str() {
-                    "precision" => {
-                        let label = crate::config::Precision::from_code(*v as u64)
-                            .map_or("unknown", |p| p.name());
-                        s.push_str(&format!("  {name:<24} {v} ({label} tier)\n"));
-                    }
                     "epsilon" if *v > 0.0 => {
                         s.push_str(&format!("  {name:<24} {v} ((1+ε)-approximate)\n"));
                     }
@@ -589,14 +563,14 @@ impl RunReport {
             }
         }
         if !self.counters.is_empty() {
-            // The precision-tier and certificate namespaces render as their
-            // own sections; everything else stays in the flat counter list.
-            let is_tiered =
+            // The ε-skip and certificate namespaces render as their own
+            // sections; everything else stays in the flat counter list.
+            let is_sectioned =
                 |n: &str| n.starts_with("precision.") || n.starts_with("certificate.");
             let flat: Vec<_> = self
                 .counters
                 .iter()
-                .filter(|(n, _)| !is_tiered(n))
+                .filter(|(n, _)| !is_sectioned(n))
                 .collect();
             if !flat.is_empty() {
                 s.push_str("\ncounters:\n");
@@ -610,7 +584,7 @@ impl RunReport {
                 .filter(|(n, _)| n.starts_with("precision."))
                 .collect();
             if !precision.is_empty() {
-                s.push_str("\nprecision tier (f32 filtering):\n");
+                s.push_str("\nε relaxation:\n");
                 for (name, v) in precision {
                     let short = name.trim_start_matches("precision.");
                     s.push_str(&format!("  {short:<32} {v}\n"));
@@ -671,7 +645,7 @@ fn json_num(v: f64) -> String {
 }
 
 /// Escape and quote one JSON string.
-fn json_str(s: &str) -> String {
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -1273,21 +1247,21 @@ mod tests {
     #[test]
     fn render_human_groups_precision_and_certificate_sections() {
         let mut r = sample_report();
-        r.config.push(("precision".to_string(), 1.0));
         r.config.push(("epsilon".to_string(), 0.25));
-        r.counters.push(("precision.f32_rejects".to_string(), 900.0));
-        r.counters.push(("precision.f64_confirms".to_string(), 100.0));
+        r.counters.push(("precision.eps_skips".to_string(), 900.0));
         r.counters
             .push(("certificate.max_rel_error".to_string(), 0.01));
         let text = r.render_human();
-        assert!(text.contains("1 (mixed tier)"), "{text}");
         assert!(text.contains("(1+ε)-approximate"), "{text}");
-        assert!(text.contains("precision tier (f32 filtering):"), "{text}");
-        assert!(text.contains("error certificate (measured vs exact):"), "{text}");
+        assert!(text.contains("ε relaxation:"), "{text}");
+        assert!(
+            text.contains("error certificate (measured vs exact):"),
+            "{text}"
+        );
         // Namespaced counters are pulled out of the flat list and rendered
         // with the prefix stripped.
-        assert!(!text.contains("  precision.f32_rejects"), "{text}");
-        assert!(text.contains("  f32_rejects"), "{text}");
+        assert!(!text.contains("  precision.eps_skips"), "{text}");
+        assert!(text.contains("  eps_skips"), "{text}");
         assert!(text.contains("  max_rel_error"), "{text}");
         // ε = 0 renders as exact.
         let mut r0 = sample_report();

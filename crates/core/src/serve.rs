@@ -69,7 +69,7 @@ pub use crate::config::ServeConfig;
 use crate::config::eps_cover_scale;
 use crate::error::{validate_points, SepdcError};
 use crate::query::QueryTree;
-use crate::report::{precision_counters, Phase, RunRecorder, RunReport, RUN_REPORT_VERSION};
+use crate::report::{Phase, RunRecorder, RunReport, RUN_REPORT_VERSION};
 use sepdc_geom::point::Point;
 use sepdc_geom::soa::FilterStats;
 
@@ -208,8 +208,8 @@ pub struct ServeStats {
     pub cost_total: u64,
     /// Largest single-probe query cost in the batch.
     pub cost_max: u64,
-    /// Precision-tier filter counters accumulated across every leaf scan
-    /// of the batch (all zero in the exact tier with ε = 0).
+    /// ε skips accumulated across every leaf scan of the batch (zero when
+    /// ε = 0).
     pub filter: FilterStats,
 }
 
@@ -272,26 +272,20 @@ fn serve_chunk<const D: usize>(
     };
     let soa = tree.soa_balls();
     let open = pred == CoverPredicate::Open;
-    // The serving tier is the batch's own knob (a tree built exact can be
-    // served mixed and vice versa); answers are byte-identical either way,
-    // and ε > 0 relaxes the cover predicate per DESIGN.md §17.
-    let mixed = cfg.precision.is_mixed();
+    // ε > 0 relaxes the cover predicate per DESIGN.md §17.
     let eps_scale = eps_cover_scale(cfg.epsilon);
-    // One distance-buffer pair for the whole chunk: the leaf filter runs
+    // One distance buffer for the whole chunk: the leaf filter runs
     // through the blocked SoA kernels, appending hits in leaf order (so the
     // CSR assembly stays byte-identical to the scalar filter).
-    let mut scratch32: Vec<f32> = Vec::new();
     let mut scratch: Vec<f64> = Vec::new();
     for p in chunk {
         let (leaf, visited) = tree.descend_counted(p);
         let before = part.ids.len();
-        soa.filter_covering_tiered_into(
+        soa.filter_covering_eps_into(
             p,
             leaf,
             open,
-            mixed,
             eps_scale,
-            &mut scratch32,
             &mut scratch,
             &mut part.ids,
             &mut part.stats.filter,
@@ -417,22 +411,21 @@ impl<const D: usize> QueryTree<D> {
                     f64::from(u8::from(pred == CoverPredicate::Open)),
                 ),
                 ("record".to_string(), f64::from(u8::from(cfg.record))),
-                ("precision".to_string(), cfg.precision.code() as f64),
                 ("epsilon".to_string(), cfg.epsilon),
             ],
             phases: obs.phases(),
-            counters: {
-                let mut counters = vec![
-                    ("serve.probes".to_string(), stats.probes as f64),
-                    ("serve.hits".to_string(), stats.hits as f64),
-                    ("serve.chunks".to_string(), stats.chunks as f64),
-                    ("serve.cost_total".to_string(), stats.cost_total as f64),
-                    ("serve.cost_max".to_string(), stats.cost_max as f64),
-                    ("serve.cost_mean".to_string(), stats.mean_cost()),
-                ];
-                counters.extend(precision_counters(&stats.filter));
-                counters
-            },
+            counters: vec![
+                ("serve.probes".to_string(), stats.probes as f64),
+                ("serve.hits".to_string(), stats.hits as f64),
+                ("serve.chunks".to_string(), stats.chunks as f64),
+                ("serve.cost_total".to_string(), stats.cost_total as f64),
+                ("serve.cost_max".to_string(), stats.cost_max as f64),
+                ("serve.cost_mean".to_string(), stats.mean_cost()),
+                (
+                    "precision.eps_skips".to_string(),
+                    stats.filter.eps_skips as f64,
+                ),
+            ],
             depth: obs.depth_rows(),
         }
         .finish(t_run.elapsed());
@@ -645,47 +638,6 @@ mod tests {
         // cost 0 cannot occur (every probe visits the root) but must not
         // underflow the bucket math.
         assert_eq!(cost_bucket(0), 0);
-    }
-
-    #[test]
-    fn precision_tiers_serve_byte_identical_answers() {
-        use crate::config::Precision;
-        let tree = tree_2d(700, 2, 21);
-        let probes = Workload::Clusters.generate::<2>(1500, 22);
-        for pred in [CoverPredicate::Closed, CoverPredicate::Open] {
-            let exact = tree
-                .try_serve(
-                    &probes,
-                    pred,
-                    &ServeConfig {
-                        precision: Precision::Exact,
-                        ..ServeConfig::default()
-                    },
-                )
-                .unwrap();
-            let mixed = tree
-                .try_serve(
-                    &probes,
-                    pred,
-                    &ServeConfig {
-                        precision: Precision::Mixed,
-                        ..ServeConfig::default()
-                    },
-                )
-                .unwrap();
-            assert_eq!(exact.result, mixed.result, "{pred:?}");
-            // Exact mode never touches the filter counters; mixed mode
-            // exercised them without a certified-bound violation.
-            assert_eq!(exact.stats.filter, FilterStats::default());
-            assert!(mixed.stats.filter.f32_rejects + mixed.stats.filter.f64_confirms > 0);
-            assert_eq!(mixed.stats.filter.unsafe_margin_hits, 0);
-            assert_eq!(mixed.stats.filter.eps_skips, 0);
-            // Counters surface in the report under the precision namespace.
-            assert_eq!(
-                mixed.report.counter("precision.f32_rejects"),
-                Some(mixed.stats.filter.f32_rejects as f64)
-            );
-        }
     }
 
     #[test]

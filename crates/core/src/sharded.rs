@@ -480,20 +480,15 @@ impl<const D: usize> ShardedIndex<D> {
             return Err(SepdcError::NonFinitePoint { idx: 0 });
         }
         let mut out = Vec::new();
-        let mut scratch32 = Vec::new();
         let mut scratch = Vec::new();
         let mut local = Vec::new();
         let mut stats = sepdc_geom::soa::FilterStats::default();
         for shard in self.occupied() {
             local.clear();
-            shard.core.tree.covering_into(
-                p,
-                open,
-                &mut scratch32,
-                &mut scratch,
-                &mut local,
-                &mut stats,
-            );
+            shard
+                .core
+                .tree
+                .covering_into(p, open, &mut scratch, &mut local, &mut stats);
             for &l in &local {
                 if !shard.is_dead(l as usize) {
                     out.push(shard.core.ids[l as usize]);

@@ -20,10 +20,7 @@ use crate::dc::{partition_points, Driver, Engine, Leaf, Node, Rule};
 use crate::error::{validate_points, SepdcError};
 use crate::knn::{brute_list_soa_into, KnnResult};
 use crate::parallel::knn_report;
-use crate::query::QueryTreeConfig;
-use crate::report::{
-    cost_counters, precision_counters, stats_counters, Phase, RunRecorder, RunReport,
-};
+use crate::report::{cost_counters, stats_counters, Phase, RunRecorder, RunReport};
 use crate::seeding::punt_seed;
 use crate::shared::SharedLists;
 use sepdc_geom::point::Point;
@@ -169,7 +166,7 @@ pub fn try_simple_parallel_knn<const D: usize, const E: usize>(
     let (cost, stats, fstats) = driver.run(&ctx, &mut perm, cfg.seed, 0)?;
     let mut counters = stats.counters();
     counters.extend(cost_counters(&cost));
-    counters.extend(precision_counters(&fstats));
+    counters.push(("precision.eps_skips".to_string(), fstats.eps_skips as f64));
     Ok(SimpleDcOutput {
         knn: lists.into_result(),
         cost,
@@ -238,14 +235,9 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
         let node_crossing = crossing.len();
         self.obs.add_crossing(node.depth, node_crossing as u64);
         let qseed = punt_seed(node.seed);
-        // The top-level precision knob is authoritative even for
-        // struct-literal configs whose `query` sub-config was left
-        // untouched; ε stays `cfg.query.epsilon` because the balls above
-        // are already shrunk.
-        let qcfg = QueryTreeConfig {
-            precision: self.cfg.precision,
-            ..self.cfg.query
-        };
+        // The query tree's ε stays `cfg.query.epsilon` because the balls
+        // above are already shrunk.
+        let qcfg = self.cfg.query;
         // Every internal node corrects through the query structure here
         // (the Section 5 combine step), so its time lands in the same
         // `punt-correction` phase the Section 6 punt path uses.

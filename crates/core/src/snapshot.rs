@@ -45,7 +45,6 @@ use crate::error::SepdcError;
 use crate::partition_tree::{PartitionNode, PartitionTree};
 use crate::query::{QNode, QueryTree, QueryTreeConfig, QueryTreeStats};
 use crate::sharded::{ShardedConfig, ShardedIndex};
-use crate::config::Precision;
 use crate::splitter::SplitterKind;
 use sepdc_geom::aabb::Aabb;
 use sepdc_geom::ball::Ball;
@@ -62,7 +61,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SEPDCSNP";
 /// Current container version. Bumped on any layout change; loading a
 /// different version is [`SnapshotError::UnsupportedVersion`], never a
 /// best-effort guess.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Fixed header length: magic + version + kind + dim + section_count.
 pub const HEADER_LEN: usize = 8 + 4 + 4 + 4 + 4;
@@ -605,8 +604,8 @@ fn tag_name(tag: &[u8; 4]) -> &'static str {
 
 /// Serialize a [`QueryTree`] into snapshot bytes.
 ///
-/// Sections: `META` (17 `u64` words: seed, ball count, the seven stats,
-/// the five cost-profile fields, splitter code, precision code, ε bits),
+/// Sections: `META` (16 `u64` words: seed, ball count, the seven stats,
+/// the five cost-profile fields, splitter code, ε bits),
 /// `BALL` (the SoA center columns plus radii — written straight from the columnar arena,
 /// no transpose), `NODE` (the tree flattened postorder, children before
 /// parents, root last), `LFID` (concatenated leaf ball-id lists).
@@ -614,7 +613,7 @@ pub fn save_query_tree<const D: usize>(tree: &QueryTree<D>) -> Vec<u8> {
     let stats = tree.stats();
     let cost = tree.build_cost();
 
-    let mut meta = Vec::with_capacity(17 * 8);
+    let mut meta = Vec::with_capacity(16 * 8);
     put_u64(&mut meta, tree.run_report().seed);
     put_u64(&mut meta, tree.len() as u64);
     for v in [
@@ -631,7 +630,6 @@ pub fn save_query_tree<const D: usize>(tree: &QueryTree<D>) -> Vec<u8> {
         cost.separator_candidates,
         cost.punts,
         tree.splitter().code(),
-        tree.precision().code(),
         tree.epsilon().to_bits(),
     ] {
         put_u64(&mut meta, v);
@@ -731,7 +729,6 @@ struct QueryMeta {
     stats: QueryTreeStats,
     cost: CostProfile,
     splitter: SplitterKind,
-    precision: Precision,
     epsilon: f64,
 }
 
@@ -761,9 +758,6 @@ fn load_query_meta(body: &[u8]) -> Result<QueryMeta, SnapshotError> {
     let code = c.u64()?;
     let splitter = SplitterKind::from_code(code)
         .ok_or_else(|| corrupt("META", format!("unknown splitter code {code}")))?;
-    let code = c.u64()?;
-    let precision = Precision::from_code(code)
-        .ok_or_else(|| corrupt("META", format!("unknown precision code {code}")))?;
     let epsilon = f64::from_bits(c.u64()?);
     if !epsilon.is_finite() || !(0.0..=1.0).contains(&epsilon) {
         return Err(corrupt("META", format!("epsilon {epsilon} outside [0, 1]")));
@@ -775,7 +769,6 @@ fn load_query_meta(body: &[u8]) -> Result<QueryMeta, SnapshotError> {
         stats,
         cost,
         splitter,
-        precision,
         epsilon,
     })
 }
@@ -1003,7 +996,6 @@ pub fn load_query_tree<const D: usize>(bytes: &[u8]) -> Result<QueryTree<D>, Sep
         meta.cost,
         meta.seed,
         meta.splitter,
-        meta.precision,
         meta.epsilon,
         t0.elapsed(),
     ))

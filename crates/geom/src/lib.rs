@@ -45,7 +45,7 @@ pub use ball::Ball;
 pub use halfspace::Hyperplane;
 pub use point::Point;
 pub use shape::{Separator, Side};
-pub use soa::{F32Bound, FilterStats, SoaBalls, SoaPoints};
+pub use soa::{FilterStats, SoaBalls, SoaPoints};
 pub use sphere::Sphere;
 
 /// Default absolute tolerance used by geometric predicates.

@@ -9,7 +9,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sepdc::core::{
     brute_force_knn, parallel_knn, simple_parallel_knn, try_parallel_knn, try_simple_parallel_knn,
-    KnnDcConfig, KnnResult, NeighborhoodSystem, Precision, QueryTree, QueryTreeConfig, SepdcError,
+    KnnDcConfig, KnnResult, NeighborhoodSystem, QueryTree, QueryTreeConfig, SepdcError,
 };
 use sepdc::geom::Point;
 use sepdc::workloads::{degenerate, rng, Workload};
@@ -133,13 +133,11 @@ fn balls_reaching_the_eps_band_are_corrected() {
     for s in 0..=5 {
         let pts = band_cloud(s);
         let oracle = brute_force_knn(&pts, 4);
-        for precision in [Precision::Exact, Precision::Mixed] {
-            let cfg = KnnDcConfig::new(4).with_seed(3).with_precision(precision);
-            parallel_knn::<2, 3>(&pts, &cfg)
-                .knn
-                .identical_to(&oracle)
-                .unwrap_or_else(|e| panic!("s={s} {precision:?}: {e}"));
-        }
+        let cfg = KnnDcConfig::new(4).with_seed(3);
+        parallel_knn::<2, 3>(&pts, &cfg)
+            .knn
+            .identical_to(&oracle)
+            .unwrap_or_else(|e| panic!("s={s}: {e}"));
     }
 }
 

@@ -1,167 +1,16 @@
-//! Soundness, parity, and certificate tests for the mixed-precision
-//! filtering tier and the opt-in (1+ε)-approximation mode.
+//! Certificate tests for the opt-in (1+ε)-approximation mode
+//! (DESIGN.md §17).
 //!
-//! Three contracts are pinned here (DESIGN.md §17):
-//!
-//! 1. **Bound soundness.** The certified f32 lower bound can never exceed
-//!    the exact f64 distance: `lb(d32) ≤ d64` for every candidate whose
-//!    exact distance is a number — including subnormal, huge, and
-//!    raw-bit-pattern coordinates. This is the property that makes an f32
-//!    reject safe; it is fuzzed adversarially, not just sampled.
-//! 2. **Tier parity.** With ε = 0, the mixed tier returns byte-identical
-//!    answers to the exact tier on every algorithm that carries the tier
-//!    (§6 parallel, §5 simple, kd-tree baseline), and the
-//!    `unsafe_margin_hits` counter (observed bound violations) stays zero.
-//! 3. **ε certificate.** With ε > 0 the answers may drift, but the drift
-//!    measured against the brute-force oracle stays within the certificate
-//!    bound: per-rank relative distance error ≤ ε and no short lists.
+//! With ε > 0 the answers may drift, but the drift measured against the
+//! brute-force oracle stays within the certificate bound: per-rank
+//! relative distance error ≤ ε and no short lists.
 
 use proptest::prelude::*;
-use sepdc::core::{
-    brute_force_knn, parallel_knn, simple_parallel_knn, try_kdtree_all_knn_with, KnnDcConfig,
-    KnnResult, Precision,
-};
-use sepdc::geom::point::Point;
-use sepdc::geom::soa::{FilterStats, SoaPoints};
+use sepdc::core::{brute_force_knn, parallel_knn, KnnDcConfig};
 use sepdc::workloads::Workload;
-
-/// Coordinates as raw bit patterns: mostly finite grid values, with a
-/// tail of special values and fully random bits (same idiom as
-/// `proptest_soa_kernels.rs`; the vendored proptest has no `prop_oneof`).
-fn raw_coord() -> impl Strategy<Value = f64> {
-    (0u32..12, any::<u64>()).prop_map(|(sel, bits)| match sel {
-        0..=5 => ((bits % 32) as f64 - 16.0) * 0.5, // coarse grid
-        6 => f64::NAN,
-        7 => f64::INFINITY,
-        8 => f64::NEG_INFINITY,
-        9 => -0.0,
-        10 => f64::MIN_POSITIVE / 2.0, // subnormal
-        _ => f64::from_bits(bits),     // arbitrary raw bits
-    })
-}
-
-/// A total, bit-exact fingerprint of one answer set.
-fn fingerprint(knn: &KnnResult) -> Vec<Vec<(u64, u32)>> {
-    (0..knn.len())
-        .map(|i| {
-            knn.neighbors(i)
-                .iter()
-                .map(|n| (n.dist_sq.to_bits(), n.idx))
-                .collect()
-        })
-        .collect()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Adversarial bound soundness: for arbitrary raw-bit coordinates the
-    /// certified lower bound never exceeds the exact distance whenever the
-    /// exact distance is comparable (non-NaN). NaN/overflowed f32 lanes
-    /// must map to `-inf` (never reject).
-    #[test]
-    fn f32_lower_bound_is_sound_on_raw_bits(
-        vals in proptest::collection::vec(raw_coord(), 3..96),
-        q_vals in proptest::collection::vec(raw_coord(), 3..4),
-    ) {
-        let n = vals.len() / 3;
-        let pts: Vec<Point<3>> = (0..n)
-            .map(|i| Point::from([vals[3 * i], vals[3 * i + 1], vals[3 * i + 2]]))
-            .collect();
-        let q = Point::from([q_vals[0], q_vals[1], q_vals[2]]);
-        let soa = SoaPoints::from_points(&pts);
-        let bound = soa.f32_bound(&q);
-
-        let ids: Vec<u32> = (0..n as u32).collect();
-        let mut d32s = vec![0.0f32; n];
-        soa.dist_sq_f32_gather(&q, &ids, &mut d32s);
-        for (i, &d32) in d32s.iter().enumerate() {
-            let d64 = q.dist_sq(&pts[i]);
-            let lb = bound.lower_bound(d32);
-            if !d32.is_finite() {
-                prop_assert_eq!(lb, f64::NEG_INFINITY, "non-finite d32 must never reject");
-            }
-            if !d64.is_nan() {
-                prop_assert!(
-                    lb <= d64,
-                    "bound violated at {}: lb {} > d64 {} (d32 {})",
-                    i, lb, d64, d32
-                );
-            }
-        }
-    }
-
-    /// Subnormal regime: coordinates so small that their squares flush to
-    /// zero in f32. The SLACK_FLOOR term must keep the bound sound (lb ≤ 0
-    /// is required since d32 = 0 carries no information).
-    #[test]
-    fn f32_lower_bound_is_sound_on_subnormals(
-        scales in proptest::collection::vec(0u32..40, 2..48),
-        q_scale in 0u32..40,
-    ) {
-        let tiny = |s: u32| f64::MIN_POSITIVE * (s as f64 + 0.5) / 8.0;
-        let pts: Vec<Point<2>> = scales
-            .iter()
-            .map(|&s| Point::from([tiny(s), -tiny(s / 2 + 1)]))
-            .collect();
-        let q = Point::from([tiny(q_scale), tiny(q_scale + 1)]);
-        let soa = SoaPoints::from_points(&pts);
-        let bound = soa.f32_bound(&q);
-        let ids: Vec<u32> = (0..pts.len() as u32).collect();
-        let mut d32s = vec![0.0f32; pts.len()];
-        soa.dist_sq_f32_gather(&q, &ids, &mut d32s);
-        for (i, &d32) in d32s.iter().enumerate() {
-            let d64 = q.dist_sq(&pts[i]);
-            prop_assert!(
-                bound.lower_bound(d32) <= d64,
-                "subnormal bound violated at {i}"
-            );
-        }
-    }
-
-    /// Tier parity, end to end: exact and mixed agree bit-for-bit on the
-    /// §6 recursion, the §5 recursion, and the kd baseline, and no bound
-    /// violation is ever observed.
-    #[test]
-    fn tiers_are_byte_identical_end_to_end(
-        selector in 0u32..4,
-        n in 60usize..220,
-        seed in 0u64..1 << 40,
-    ) {
-        let w = match selector % 4 {
-            0 => Workload::UniformCube,
-            1 => Workload::Clusters,
-            2 => Workload::SphereShell,
-            _ => Workload::NoisyLine,
-        };
-        let points = w.generate::<2>(n, seed);
-        let k = 3;
-        let exact_cfg = KnnDcConfig::new(k).with_seed(seed).with_precision(Precision::Exact);
-        let mixed_cfg = KnnDcConfig::new(k).with_seed(seed).with_precision(Precision::Mixed);
-
-        let e6 = parallel_knn::<2, 3>(&points, &exact_cfg);
-        let m6 = parallel_knn::<2, 3>(&points, &mixed_cfg);
-        prop_assert_eq!(fingerprint(&e6.knn), fingerprint(&m6.knn), "§6 tier drift");
-        prop_assert_eq!(m6.meter.unsafe_margin_hits, 0, "§6 bound violation");
-
-        let e5 = simple_parallel_knn::<2, 3>(&points, &exact_cfg);
-        let m5 = simple_parallel_knn::<2, 3>(&points, &mixed_cfg);
-        prop_assert_eq!(fingerprint(&e5.knn), fingerprint(&m5.knn), "§5 tier drift");
-
-        let (ek, es) = try_kdtree_all_knn_with(&points, k, Precision::Exact).unwrap();
-        let (mk, ms) = try_kdtree_all_knn_with(&points, k, Precision::Mixed).unwrap();
-        prop_assert_eq!(fingerprint(&ek), fingerprint(&mk), "kd tier drift");
-        prop_assert_eq!(es, FilterStats::default(), "exact kd touched the filter");
-        prop_assert_eq!(ms.unsafe_margin_hits, 0, "kd bound violation");
-
-        // The exact §6/§5 paths also equal the oracle (existing contract),
-        // so tier parity transitively pins mixed == brute force.
-        prop_assert_eq!(
-            fingerprint(&e6.knn),
-            fingerprint(&brute_force_knn(&points, k)),
-            "§6 exact vs oracle"
-        );
-    }
 
     /// ε certificate: the approximate answers drift within the certified
     /// bound against the brute-force oracle — per-rank relative distance

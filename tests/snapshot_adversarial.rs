@@ -107,17 +107,20 @@ fn flipped_magic_is_bad_magic() {
 
 #[test]
 fn version_drift_is_typed() {
-    let mut bytes = fixture_bytes();
-    let next = SNAPSHOT_VERSION + 1;
-    bytes[8..12].copy_from_slice(&next.to_le_bytes());
-    for r in try_all_loads(&bytes) {
-        assert_eq!(
-            r,
-            Err(SepdcError::Snapshot(SnapshotError::UnsupportedVersion {
-                found: next,
-                expected: SNAPSHOT_VERSION,
-            }))
-        );
+    // Version 1 files carried a precision META word and may predate the
+    // separator EPS-band fix, so they must be rebuilt, not loaded.
+    for found in [1, SNAPSHOT_VERSION + 1] {
+        let mut bytes = fixture_bytes();
+        bytes[8..12].copy_from_slice(&found.to_le_bytes());
+        for r in try_all_loads(&bytes) {
+            assert_eq!(
+                r,
+                Err(SepdcError::Snapshot(SnapshotError::UnsupportedVersion {
+                    found,
+                    expected: SNAPSHOT_VERSION,
+                }))
+            );
+        }
     }
 }
 
@@ -207,11 +210,11 @@ fn resealed_huge_array_length_cannot_allocate() {
 
 #[test]
 fn resealed_short_meta_is_truncated() {
-    // The query-tree META is a fixed 17 words. A 15-word META (missing
-    // the precision words) is a typed error, not a defaulted load.
+    // The query-tree META is a fixed 16 words. A 15-word META (missing
+    // the ε word) is a typed error, not a defaulted load.
     let bytes = fixture_bytes();
     let (_, body) = find_section(&bytes, b"META");
-    assert_eq!(body.len(), 17 * 8);
+    assert_eq!(body.len(), 16 * 8);
     let short = replace_section(&bytes, b"META", &bytes[body.start..body.start + 15 * 8]);
     assert!(
         snapshot::inspect(&short).is_ok(),
