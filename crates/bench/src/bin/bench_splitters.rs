@@ -1,15 +1,15 @@
-//! Splitter-backend shootout over the adversarial workloads.
+//! The split driver over the adversarial workloads.
 //!
 //! ```sh
 //! cargo run --release -p sepdc-bench --bin bench_splitters          # full
 //! cargo run --release -p sepdc-bench --bin bench_splitters -- --smoke
 //! ```
 //!
-//! Runs the Section 6 recursion under every split-decision backend
-//! (`random`, `graph`) on the degenerate generators that stress
-//! the tol gate — all-coincident, duplicate bundles, a tolerance-band
-//! cluster, and the noisy-line workload — plus a uniform-cube control and
-//! the outlier strip built against the widest-axis halving cut.
+//! Runs the Section 6 recursion, whose large nodes the random sphere
+//! search cuts, on the degenerate generators that stress the tol gate —
+//! all-coincident, duplicate bundles, a tolerance-band cluster, and the
+//! noisy-line workload — plus a uniform-cube control and the outlier
+//! strip built against the widest-axis halving cut.
 //! Every answer set must equal the brute-force oracle's (ids and distance
 //! bits) before its row is recorded. Both modes run at least
 //! `HALVING_FIRST_BELOW` points, so the root asks the backend first; a run
@@ -17,16 +17,15 @@
 //!
 //! Writes `BENCH_splitters.json` (override with `SEPDC_BENCH_OUT`): the
 //! table rows carry the crossing numbers (total + max at any node), tree
-//! height, and the driver's halving/rescue counters per backend (nodes
-//! below 2^14 points take the halving cut under both); the embedded
-//! `"reports"` array holds each case's full [`sepdc_core::RunReport`], so
-//! the per-depth crossing and candidate distributions travel with the
-//! summary numbers.
+//! height, and the driver's halving/rescue counters (nodes below 2^14
+//! points take the halving cut first); the embedded `"reports"` array
+//! holds each case's full [`sepdc_core::RunReport`], so the per-depth
+//! crossing and candidate distributions travel with the summary numbers.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sepdc_bench::harness::{host_info, json_str, timed, HostInfo, Table};
-use sepdc_core::{brute_force_knn, parallel_knn, KnnDcConfig, SplitterKind, HALVING_FIRST_BELOW};
+use sepdc_core::{brute_force_knn, parallel_knn, KnnDcConfig, HALVING_FIRST_BELOW};
 use sepdc_geom::Point;
 use sepdc_workloads::degenerate::{
     all_coincident, duplicate_bundles, outlier_strip, tolerance_band_cluster,
@@ -67,7 +66,7 @@ fn main() {
     };
 
     let mut table = Table::new(
-        "BENCH splitter backends on adversarial workloads",
+        "BENCH random sphere splitter on adversarial workloads",
         &[
             "case",
             "median ms",
@@ -78,54 +77,49 @@ fn main() {
             "degen",
             "halving",
             "rescues",
-            "graph",
         ],
     );
     let mut reports: Vec<CaseReport> = Vec::new();
 
+    let cfg = KnnDcConfig::new(K).with_seed(SEED);
     for (workload, pts) in workloads(n) {
         let oracle = brute_force_knn(&pts, K);
-        for kind in [SplitterKind::Random, SplitterKind::Graph] {
-            let cfg = KnnDcConfig::new(K).with_seed(SEED).with_splitter(kind);
-            let mut secs = Vec::with_capacity(reps);
-            let mut out = None;
-            for _ in 0..reps {
-                let (o, dt) = timed(|| parallel_knn::<2, 3>(&pts, &cfg));
-                secs.push(dt);
-                out = Some(o);
-            }
-            secs.sort_by(f64::total_cmp);
-            let median = secs[secs.len() / 2];
-            let out = out.unwrap();
-            out.knn
-                .identical_to(&oracle)
-                .unwrap_or_else(|e| panic!("{workload}/{}: oracle mismatch: {e}", kind.name()));
-            // A backend search adds at least one candidate, a halving cut
-            // exactly one. No cut splits all-coincident input, and a node
-            // no cut splits records no candidates.
-            assert!(
-                out.stats.candidates > out.stats.halving_splits || workload == "all-coincident",
-                "{workload}/{}: the backend was never asked: {:?}",
-                kind.name(),
-                out.stats
-            );
-            let label = format!("{workload} n={n} splitter={}", kind.name());
-            reports.push((label.clone(), median, out.report.to_json()));
-            table.row(
-                label,
-                vec![
-                    format!("{:.2}", median * 1e3),
-                    out.stats.height.to_string(),
-                    out.stats.total_crossing.to_string(),
-                    out.stats.max_node_crossing.to_string(),
-                    out.stats.forced_leaves.to_string(),
-                    out.stats.degenerate_splits.to_string(),
-                    out.stats.halving_splits.to_string(),
-                    out.stats.halving_rescues.to_string(),
-                    out.stats.graph_splits.to_string(),
-                ],
-            );
+        let mut secs = Vec::with_capacity(reps);
+        let mut out = None;
+        for _ in 0..reps {
+            let (o, dt) = timed(|| parallel_knn::<2, 3>(&pts, &cfg));
+            secs.push(dt);
+            out = Some(o);
         }
+        secs.sort_by(f64::total_cmp);
+        let median = secs[secs.len() / 2];
+        let out = out.unwrap();
+        out.knn
+            .identical_to(&oracle)
+            .unwrap_or_else(|e| panic!("{workload}: oracle mismatch: {e}"));
+        // A backend search adds at least one candidate, a halving cut
+        // exactly one. No cut splits all-coincident input, and a node
+        // no cut splits records no candidates.
+        assert!(
+            out.stats.candidates > out.stats.halving_splits || workload == "all-coincident",
+            "{workload}: the backend was never asked: {:?}",
+            out.stats
+        );
+        let label = format!("{workload} n={n}");
+        reports.push((label.clone(), median, out.report.to_json()));
+        table.row(
+            label,
+            vec![
+                format!("{:.2}", median * 1e3),
+                out.stats.height.to_string(),
+                out.stats.total_crossing.to_string(),
+                out.stats.max_node_crossing.to_string(),
+                out.stats.forced_leaves.to_string(),
+                out.stats.degenerate_splits.to_string(),
+                out.stats.halving_splits.to_string(),
+                out.stats.halving_rescues.to_string(),
+            ],
+        );
     }
 
     table.note(format!(
@@ -147,9 +141,9 @@ fn main() {
 }
 
 /// Combined artifact: the human-oriented table plus one full run report
-/// per (workload, backend) case, same shape as the other bench bins.
+/// per workload, same shape as the other bench bins.
 fn bench_json(table: &Table, reports: &[CaseReport], host: &HostInfo) -> String {
-    let mut s = String::from("{\n\"bench_splitters_version\": 1,\n\"host\": ");
+    let mut s = String::from("{\n\"bench_splitters_version\": 2,\n\"host\": ");
     s.push_str(&host.to_json());
     s.push_str(",\n\"table\":\n");
     s.push_str(table.to_json().trim_end());

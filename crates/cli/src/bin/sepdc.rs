@@ -27,16 +27,14 @@ sepdc — separator based divide and conquer in computational geometry
 USAGE:
   sepdc generate  --workload NAME --n N [--dim D] [--seed S] [--out FILE]
   sepdc knn       --input FILE [--dim D] [--k K] [--algo parallel|simple|kdtree|brute]
-                  [--seed S] [--splitter random|graph] [--epsilon E]
-                  [--edges-out FILE] [--report FILE]
+                  [--seed S] [--epsilon E] [--edges-out FILE] [--report FILE]
   sepdc query     --input FILE [--dim D] [--k K] [--probes FILE |
                   --probe-workload NAME --probe-n N] [--interior]
-                  [--chunk N] [--seed S] [--splitter random|graph]
-                  [--epsilon E] [--out FILE] [--report FILE]
+                  [--chunk N] [--seed S] [--epsilon E] [--out FILE]
+                  [--report FILE]
   sepdc report    --input FILE
   sepdc index build   --input FILE --out FILE [--dim D] [--k K] [--seed S]
-                      [--splitter random|graph] [--epsilon E]
-                      [--sharded [--staging N]]
+                      [--epsilon E] [--sharded [--staging N]]
   sepdc index inspect --input FILE
   sepdc serve     --index FILE [--interior] [--chunk N] [--batch-max N]
   sepdc separator --input FILE [--dim D] [--k K] [--seed S]
@@ -65,13 +63,6 @@ checksum; `serve` loads a snapshot and answers newline-delimited probe
 batches over stdin/stdout (rows match `sepdc query --out`; control
 lines: `swap PATH` installs a new snapshot atomically, `insert X,…,R`
 and `delete ID` edit a sharded index in place, `stats`, `quit`).
-
-`--splitter` selects the sphere-separator backend of the parallel k-NN
-recursion and the query structure: `random` (the paper's seeded search,
-the default) or `graph` (seed-free BFS separator over the grid
-intersection graph). Under both, a deterministic halving cut splits
-nodes the backend cannot and rescues cuts that route every point one
-way. Snapshots remember the backend that built them.
 
 `--epsilon E` (0 < E ≤ 1) opts into (1+ε)-approximate answers: knn
 relaxes correction radii and runs the exact algorithm alongside to
@@ -167,7 +158,6 @@ fn run() -> CliResult<()> {
                 "k",
                 "algo",
                 "seed",
-                "splitter",
                 "epsilon",
                 "edges-out",
                 "report",
@@ -182,7 +172,6 @@ fn run() -> CliResult<()> {
                 args.num_or("k", 1)?,
                 args.get_or("algo", "parallel"),
                 args.num_or("seed", 42)?,
-                commands::splitter_by_name(args.get_or("splitter", "random"))?,
                 args.num_or("epsilon", 0.0)?,
             )?;
             eprintln!("{}", out.summary);
@@ -215,7 +204,6 @@ fn run() -> CliResult<()> {
                 "interior",
                 "chunk",
                 "seed",
-                "splitter",
                 "epsilon",
                 "out",
                 "report",
@@ -238,7 +226,6 @@ fn run() -> CliResult<()> {
                 args.bool("interior"),
                 args.num_or("seed", 42)?,
                 args.num_or("chunk", 1024)?,
-                commands::splitter_by_name(args.get_or("splitter", "random"))?,
                 args.num_or("epsilon", 0.0)?,
             )?;
             eprintln!("{}", out.summary);
@@ -264,7 +251,7 @@ fn run() -> CliResult<()> {
         }
         "index-build" => {
             let unknown = args.unknown_flags(&[
-                "input", "dim", "k", "seed", "splitter", "epsilon", "out", "sharded", "staging",
+                "input", "dim", "k", "seed", "epsilon", "out", "sharded", "staging",
             ]);
             if !unknown.is_empty() {
                 return Err(format!("unknown flags: {}", unknown.join(", ")));
@@ -284,7 +271,7 @@ fn run() -> CliResult<()> {
                 args.num_or("k", 1)?,
                 args.num_or("seed", 42)?,
                 sharded,
-                commands::splitter_by_name(args.get_or("splitter", "random"))?,
+                Default::default(),
                 Default::default(),
                 args.num_or("epsilon", 0.0)?,
             )?;

@@ -33,13 +33,6 @@ macro_rules! with_dim {
     };
 }
 
-/// Parse a `--splitter` flag value into a [`SplitterKind`], with the valid
-/// names listed in the error.
-pub fn splitter_by_name(name: &str) -> CliResult<SplitterKind> {
-    SplitterKind::parse(name)
-        .ok_or_else(|| format!("unknown splitter '{name}' (available: random, graph)"))
-}
-
 fn workload_by_name(name: &str) -> CliResult<Workload> {
     Workload::ALL
         .into_iter()
@@ -86,7 +79,6 @@ pub fn knn(
     k: usize,
     algo: &str,
     seed: u64,
-    splitter: SplitterKind,
     epsilon: f64,
 ) -> CliResult<KnnCommandOutput> {
     let dim = resolve_dim(input, dim_flag)?;
@@ -95,7 +87,6 @@ pub fn knn(
         k: usize,
         algo: &str,
         seed: u64,
-        splitter: SplitterKind,
         epsilon: f64,
     ) -> CliResult<KnnCommandOutput> {
         let points = parse_points::<D>(input)?;
@@ -109,10 +100,7 @@ pub fn knn(
                 "--epsilon requires the parallel or simple algorithm (got '{algo}')"
             ));
         }
-        let cfg = KnnDcConfig::new(k)
-            .with_seed(seed)
-            .with_splitter(splitter)
-            .with_epsilon(epsilon);
+        let cfg = KnnDcConfig::new(k).with_seed(seed).with_epsilon(epsilon);
         let t0 = std::time::Instant::now();
         // Appends the measured ε error certificate (vs a fresh exact run)
         // to the summary and report of an approximate run.
@@ -210,7 +198,7 @@ pub fn knn(
             report_json,
         })
     }
-    with_dim!(dim, run(input, k, algo, seed, splitter, epsilon))
+    with_dim!(dim, run(input, k, algo, seed, epsilon))
 }
 
 /// Output of the `query` command.
@@ -243,7 +231,6 @@ pub fn query(
     interior: bool,
     seed: u64,
     chunk: usize,
-    splitter: SplitterKind,
     epsilon: f64,
 ) -> CliResult<QueryCommandOutput> {
     let dim = resolve_dim(input, dim_flag)?;
@@ -258,7 +245,6 @@ pub fn query(
         interior: bool,
         seed: u64,
         chunk: usize,
-        splitter: SplitterKind,
         epsilon: f64,
     ) -> CliResult<QueryCommandOutput> {
         let points = parse_points::<D>(input)?;
@@ -272,12 +258,8 @@ pub fn query(
         let t_build = std::time::Instant::now();
         let knn = try_kdtree_all_knn(&points, k).map_err(|e| e.to_string())?;
         let system = NeighborhoodSystem::from_knn(&points, &knn);
-        let tree_cfg = QueryTreeConfig {
-            splitter,
-            ..QueryTreeConfig::default()
-        };
-        let tree =
-            QueryTree::try_build::<E>(system.balls(), tree_cfg, seed).map_err(|e| e.to_string())?;
+        let tree = QueryTree::try_build::<E>(system.balls(), QueryTreeConfig::default(), seed)
+            .map_err(|e| e.to_string())?;
         let build_s = t_build.elapsed().as_secs_f64();
         let pred = if interior {
             CoverPredicate::Open
@@ -333,7 +315,6 @@ pub fn query(
             interior,
             seed,
             chunk,
-            splitter,
             epsilon
         )
     )
@@ -367,8 +348,8 @@ pub fn index_build(
     k: usize,
     seed: u64,
     sharded: Option<usize>,
-    splitter: SplitterKind,
-    // Ignored; kept only because the repository benchmark passes it.
+    // Both ignored; kept only because the repository benchmark passes them.
+    _splitter: SplitterKind,
     _precision: Precision,
     epsilon: f64,
 ) -> CliResult<IndexBuildOutput> {
@@ -378,7 +359,6 @@ pub fn index_build(
         k: usize,
         seed: u64,
         sharded: Option<usize>,
-        splitter: SplitterKind,
         epsilon: f64,
     ) -> CliResult<IndexBuildOutput> {
         let points = parse_points::<D>(input)?;
@@ -388,7 +368,6 @@ pub fn index_build(
         // ε rides in the snapshot META (word 16), so a daemon loading
         // this index serves with the same relaxation.
         let tree_cfg = QueryTreeConfig {
-            splitter,
             epsilon,
             ..QueryTreeConfig::default()
         };
@@ -422,17 +401,16 @@ pub fn index_build(
         let snapshot = snapshot::save_query_tree(&tree);
         let stats = tree.stats();
         let summary = format!(
-            "indexed {} balls (d={D}, k={k}, seed {seed}, splitter {}) in {build_ms:.1} ms: \
+            "indexed {} balls (d={D}, k={k}, seed {seed}) in {build_ms:.1} ms: \
              height {}, {} leaves, snapshot {} bytes",
             tree.len(),
-            splitter.name(),
             stats.height,
             stats.leaves,
             snapshot.len(),
         );
         Ok(IndexBuildOutput { snapshot, summary })
     }
-    with_dim!(dim, run(input, k, seed, sharded, splitter, epsilon))
+    with_dim!(dim, run(input, k, seed, sharded, epsilon))
 }
 
 /// `index inspect`: print a snapshot's header and section table, then
@@ -462,7 +440,7 @@ pub fn index_inspect(bytes: &[u8]) -> CliResult<String> {
                 let s = tree.stats();
                 Ok(format!(
                     "query-tree: {} balls, height {}, {} leaves, {} internals, \
-                     {} stored refs, seed {}, splitter {} (ε = {}); \
+                     {} stored refs, seed {} (ε = {}); \
                      loaded + validated in {:.1} ms\n",
                     tree.len(),
                     s.height,
@@ -470,23 +448,8 @@ pub fn index_inspect(bytes: &[u8]) -> CliResult<String> {
                     s.internals,
                     s.stored_balls,
                     tree.run_report().seed,
-                    tree.splitter().name(),
                     tree.epsilon(),
                     t0.elapsed().as_secs_f64() * 1e3,
-                ))
-            }
-            with_dim!(info.dim as usize, load(bytes))?
-        }
-        SnapshotKind::PartitionTree => {
-            fn load<const D: usize, const E: usize>(bytes: &[u8]) -> CliResult<String> {
-                let tree = snapshot::load_partition_tree::<D>(bytes).map_err(|e| e.to_string())?;
-                Ok(format!(
-                    "partition-tree: {} nodes, {} leaves, height {}, {} points, bounds: {}\n",
-                    tree.nodes().len(),
-                    tree.leaves(),
-                    tree.height(),
-                    tree.perm().len(),
-                    tree.bounds().is_some(),
                 ))
             }
             with_dim!(info.dim as usize, load(bytes))?
@@ -599,11 +562,11 @@ mod tests {
     #[test]
     fn generate_then_knn_roundtrip() {
         let pts = generate("uniform-cube", 200, 2, 7).unwrap();
-        let out = knn(&pts, None, 2, "parallel", 1, SplitterKind::Random, 0.0).unwrap();
+        let out = knn(&pts, None, 2, "parallel", 1, 0.0).unwrap();
         assert!(out.summary.contains("200 points (d=2)"));
         assert!(out.edges_csv.lines().count() > 200);
         // Same input through the oracle gives the same edge count.
-        let oracle = knn(&pts, Some(2), 2, "brute", 1, SplitterKind::Random, 0.0).unwrap();
+        let oracle = knn(&pts, Some(2), 2, "brute", 1, 0.0).unwrap();
         assert_eq!(
             out.edges_csv.lines().count(),
             oracle.edges_csv.lines().count()
@@ -615,7 +578,7 @@ mod tests {
         let pts = generate("clusters", 150, 3, 3).unwrap();
         let mut counts = Vec::new();
         for algo in ["parallel", "simple", "kdtree", "brute"] {
-            let out = knn(&pts, None, 1, algo, 5, SplitterKind::Random, 0.0).unwrap();
+            let out = knn(&pts, None, 1, algo, 5, 0.0).unwrap();
             counts.push(out.edges_csv.lines().count());
         }
         assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
@@ -624,7 +587,7 @@ mod tests {
     #[test]
     fn dimension_sniffing() {
         let pts = generate("uniform-cube", 50, 4, 1).unwrap();
-        let out = knn(&pts, None, 1, "kdtree", 1, SplitterKind::Random, 0.0).unwrap();
+        let out = knn(&pts, None, 1, "kdtree", 1, 0.0).unwrap();
         assert!(out.summary.contains("(d=4)"));
     }
 
@@ -634,7 +597,7 @@ mod tests {
             .unwrap_err()
             .contains("available"));
         let pts = generate("grid", 30, 2, 1).unwrap();
-        assert!(knn(&pts, None, 1, "nope", 1, SplitterKind::Random, 0.0).is_err());
+        assert!(knn(&pts, None, 1, "nope", 1, 0.0).is_err());
     }
 
     #[test]
@@ -665,7 +628,7 @@ mod tests {
         // Satellite fix: degenerate splits, depth-capped leaves, and punt
         // counters used to be computed and then dropped on the floor.
         let pts = generate("uniform-cube", 400, 2, 9).unwrap();
-        let out = knn(&pts, None, 2, "parallel", 3, SplitterKind::Random, 0.0).unwrap();
+        let out = knn(&pts, None, 2, "parallel", 3, 0.0).unwrap();
         for needle in [
             "fast",
             "punts",
@@ -680,16 +643,16 @@ mod tests {
         ] {
             assert!(out.summary.contains(needle), "{}", out.summary);
         }
-        let simple = knn(&pts, None, 2, "simple", 3, SplitterKind::Random, 0.0).unwrap();
+        let simple = knn(&pts, None, 2, "simple", 3, 0.0).unwrap();
         for needle in ["forced leaves", "degenerate splits", "depth-capped"] {
             assert!(simple.summary.contains(needle), "{}", simple.summary);
         }
         // The brute/kdtree paths have no instrumented recursion.
-        assert!(knn(&pts, None, 2, "brute", 3, SplitterKind::Random, 0.0)
+        assert!(knn(&pts, None, 2, "brute", 3, 0.0)
             .unwrap()
             .report_json
             .is_none());
-        assert!(knn(&pts, None, 2, "kdtree", 3, SplitterKind::Random, 0.0)
+        assert!(knn(&pts, None, 2, "kdtree", 3, 0.0)
             .unwrap()
             .report_json
             .is_none());
@@ -699,7 +662,7 @@ mod tests {
     fn knn_report_json_is_a_valid_run_report() {
         let pts = generate("clusters", 300, 3, 2).unwrap();
         for (algo, name) in [("parallel", "parallel"), ("simple", "simple")] {
-            let out = knn(&pts, None, 2, algo, 7, SplitterKind::Random, 0.0).unwrap();
+            let out = knn(&pts, None, 2, algo, 7, 0.0).unwrap();
             let json = out.report_json.as_deref().expect(algo);
             let rep = RunReport::from_json(json).unwrap();
             assert_eq!(rep.algo, name);
@@ -714,20 +677,7 @@ mod tests {
     #[test]
     fn query_serves_probes_and_reports() {
         let pts = generate("uniform-cube", 300, 2, 11).unwrap();
-        let out = query(
-            &pts,
-            None,
-            2,
-            None,
-            "uniform-cube",
-            100,
-            false,
-            11,
-            32,
-            SplitterKind::Random,
-            0.0,
-        )
-        .unwrap();
+        let out = query(&pts, None, 2, None, "uniform-cube", 100, false, 11, 32, 0.0).unwrap();
         assert!(out.summary.contains("served 100 probes"), "{}", out.summary);
         assert!(out.summary.contains("closed predicate"), "{}", out.summary);
         // Header + one row per probe.
@@ -752,7 +702,6 @@ mod tests {
             true,
             5,
             7,
-            SplitterKind::Random,
             0.0,
         )
         .unwrap();
@@ -796,33 +745,19 @@ mod tests {
             false,
             1,
             8,
-            SplitterKind::Random,
             0.0,
         )
         .unwrap_err();
         assert!(err.contains("line 2"), "{err}");
         // A zero chunk size is a typed config error from the serve engine.
-        let err = query(
-            &pts,
-            None,
-            1,
-            None,
-            "uniform-cube",
-            10,
-            false,
-            1,
-            0,
-            SplitterKind::Random,
-            0.0,
-        )
-        .unwrap_err();
+        let err = query(&pts, None, 1, None, "uniform-cube", 10, false, 1, 0, 0.0).unwrap_err();
         assert!(err.contains("serve.chunk_size"), "{err}");
     }
 
     #[test]
     fn report_pretty_printer_round_trip() {
         let pts = generate("uniform-cube", 250, 2, 4).unwrap();
-        let out = knn(&pts, None, 1, "parallel", 6, SplitterKind::Random, 0.0).unwrap();
+        let out = knn(&pts, None, 1, "parallel", 6, 0.0).unwrap();
         let rendered = report(out.report_json.as_deref().unwrap()).unwrap();
         assert!(rendered.contains("run report v1"), "{rendered}");
         assert!(rendered.contains("phase timings"), "{rendered}");
@@ -838,10 +773,10 @@ mod tests {
         let pts = generate("grid", 20, 2, 1).unwrap();
         // `k = 0` and empty inputs map to the typed SepdcError messages.
         for algo in ["parallel", "simple", "kdtree", "brute"] {
-            let err = knn(&pts, None, 0, algo, 1, SplitterKind::Random, 0.0).unwrap_err();
+            let err = knn(&pts, None, 0, algo, 1, 0.0).unwrap_err();
             assert!(err.contains("invalid k = 0"), "{algo}: {err}");
         }
-        let err = knn("", Some(2), 1, "brute", 1, SplitterKind::Random, 0.0).unwrap_err();
+        let err = knn("", Some(2), 1, "brute", 1, 0.0).unwrap_err();
         assert!(err.contains("empty"), "{err}");
     }
 
@@ -850,7 +785,7 @@ mod tests {
         let pts = generate("uniform-cube", 300, 2, 13).unwrap();
         // ε > 0 runs the exact algorithm alongside and reports a measured
         // certificate in the summary and the report counters.
-        let eps = knn(&pts, None, 2, "parallel", 3, SplitterKind::Random, 0.25).unwrap();
+        let eps = knn(&pts, None, 2, "parallel", 3, 0.25).unwrap();
         assert!(eps.summary.contains("ε-certificate"), "{}", eps.summary);
         let rep = RunReport::from_json(eps.report_json.as_deref().unwrap()).unwrap();
         let max_err = rep.counter("certificate.max_rel_error").unwrap();
@@ -858,29 +793,15 @@ mod tests {
         assert_eq!(rep.counter("epsilon"), None, "epsilon echoes in config");
         assert!(rep.config.iter().any(|(n, v)| n == "epsilon" && *v == 0.25));
         // ε is a correction-path knob: algorithms without one reject it.
-        let err = knn(&pts, None, 2, "kdtree", 3, SplitterKind::Random, 0.1).unwrap_err();
+        let err = knn(&pts, None, 2, "kdtree", 3, 0.1).unwrap_err();
         assert!(err.contains("--epsilon requires"), "{err}");
     }
 
     #[test]
     fn query_epsilon_serves_relaxed_predicate() {
         let pts = generate("uniform-cube", 250, 2, 17).unwrap();
-        let serve = |eps: f64| {
-            query(
-                &pts,
-                None,
-                2,
-                None,
-                "uniform-cube",
-                80,
-                false,
-                7,
-                64,
-                SplitterKind::Random,
-                eps,
-            )
-            .unwrap()
-        };
+        let serve =
+            |eps: f64| query(&pts, None, 2, None, "uniform-cube", 80, false, 7, 64, eps).unwrap();
         let exact = serve(0.0);
         let relaxed = serve(0.5);
         let rep = RunReport::from_json(&relaxed.report_json).unwrap();
@@ -897,7 +818,7 @@ mod tests {
         // NaN/inf coordinates are stopped at parse time with a line number,
         // so the algorithms only ever see finite points from the CLI.
         for poisoned in ["0.5,0.5\nNaN,0.25\n", "0.5,0.5\n0.25,inf\n"] {
-            let err = knn(poisoned, None, 1, "parallel", 1, SplitterKind::Random, 0.0).unwrap_err();
+            let err = knn(poisoned, None, 1, "parallel", 1, 0.0).unwrap_err();
             assert!(err.contains("non-finite"), "{err}");
             assert!(err.contains("line 2"), "{err}");
         }

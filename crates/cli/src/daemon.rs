@@ -24,7 +24,7 @@
 //!   serving on failure; in-flight batches finish on the generation they
 //!   started with — old generations drain as their handles drop).
 //! * **`stats`** — `ok generation=G n=N dim=D probes=P batches=B swaps=S
-//!   kind=K splitter=NAME`.
+//!   kind=K`.
 //! * **`quit`** — `ok bye`, then exit. EOF on stdin also exits.
 //! * Blank lines and `#` comments are ignored without a response, so a
 //!   generated point file can be piped in unmodified.
@@ -135,15 +135,6 @@ impl<const D: usize> ServingIndex<D> {
         }
     }
 
-    /// Name of the split-decision backend the served structure was (and,
-    /// for sharded indices, future rebuilds will be) built with.
-    fn splitter_name(&self) -> &'static str {
-        match self {
-            ServingIndex::Single(tree) => tree.splitter().name(),
-            ServingIndex::Sharded(index) => index.config().tree.splitter.name(),
-        }
-    }
-
     /// Serve one admission batch, returning a `count,id id…` row per
     /// probe. Both arms ride the deterministic CSR engine; the sharded
     /// arm scatters across shards and gathers ascending by global id,
@@ -183,10 +174,6 @@ fn load_serving<const D: usize>(bytes: &[u8]) -> Result<ServingIndex<D>, String>
         SnapshotKind::ShardedIndex => snapshot::load_sharded_index::<D>(bytes)
             .map(ServingIndex::Sharded)
             .map_err(|e| e.to_string()),
-        SnapshotKind::PartitionTree => Err(format!(
-            "holds a {}, the daemon serves query-tree or sharded-index snapshots",
-            info.kind.name()
-        )),
     }
 }
 
@@ -338,11 +325,10 @@ fn serve_loop<const D: usize, const E: usize>(
     {
         let gen = cell.current();
         eprintln!(
-            "sepdc serve: {} balls (dim {D}, {}, splitter {}), generation {}, \
+            "sepdc serve: {} balls (dim {D}, {}), generation {}, \
              {} predicate, chunk {}, admission cap {cap}",
             gen.index.len(),
             gen.index.kind_name(),
-            gen.index.splitter_name(),
             gen.number,
             pred.name(),
             serve_cfg.chunk_size,
@@ -469,15 +455,13 @@ fn serve_loop<const D: usize, const E: usize>(
                     let gen = cell.current();
                     writeln!(
                         out,
-                        "ok generation={} n={} dim={D} probes={} batches={} swaps={} kind={} \
-                         splitter={}",
+                        "ok generation={} n={} dim={D} probes={} batches={} swaps={} kind={}",
                         gen.number,
                         gen.index.len(),
                         stats.probes,
                         stats.batches,
                         stats.swaps,
                         gen.index.kind_name(),
-                        gen.index.splitter_name(),
                     )
                     .is_ok()
                 }
@@ -617,7 +601,6 @@ mod tests {
             false,
             5,
             1024,
-            SplitterKind::Random,
             0.0,
         )
         .unwrap();

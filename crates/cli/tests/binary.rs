@@ -245,16 +245,25 @@ fn missing_input_is_a_clean_error() {
 }
 
 #[test]
-fn precision_flag_is_gone() {
+fn retired_flags_are_unknown() {
     for cmd in [&["knn"][..], &["query"], &["index", "build"]] {
-        let out = bin()
-            .args(cmd)
-            .args(["--input", "pts.csv", "--precision", "mixed"])
-            .output()
-            .unwrap();
-        assert!(!out.status.success(), "{cmd:?}");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("unknown flags: precision"), "{cmd:?}: {err}");
+        for (flag, value) in [
+            ("precision", "mixed"),
+            ("splitter", "graph"),
+            ("splitter", "random"),
+        ] {
+            let out = bin()
+                .args(cmd)
+                .args(["--input", "pts.csv", &format!("--{flag}"), value])
+                .output()
+                .unwrap();
+            assert!(!out.status.success(), "{cmd:?} --{flag} {value}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                err.contains(&format!("unknown flags: {flag}")),
+                "{cmd:?} --{flag} {value}: {err}"
+            );
+        }
     }
 }
 

@@ -55,9 +55,8 @@ pub struct KnnDcConfig {
     pub marching_slack: f64,
     /// Separator search configuration for the partition steps.
     pub separator: SeparatorConfig,
-    /// Which split-decision backend cuts the nodes of at least 2^14 items
-    /// ([`crate::splitter`]); smaller nodes try the halving cut first. The
-    /// default [`SplitterKind::Random`] is the paper's engine.
+    // Kept only because `bench_layers/` (the frozen benchmark) reads it.
+    #[doc(hidden)]
     pub splitter: SplitterKind,
     /// Approximation slack ε ≥ 0 for the opt-in `(1+ε)`-approximate mode:
     /// crossing-ball radii are shrunk by `1/(1+ε)` before correction, so
@@ -176,14 +175,6 @@ impl KnnDcConfig {
     /// With a specific seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// With a specific split-decision backend, applied to both the main
-    /// recursion and the punt-path query structure.
-    pub fn with_splitter(mut self, kind: SplitterKind) -> Self {
-        self.splitter = kind;
-        self.query.splitter = kind;
         self
     }
 
@@ -464,15 +455,6 @@ mod tests {
         assert_eq!(eps_cover_scale(0.0), 1.0);
         assert!(eps_radius_scale(0.5) < 1.0);
         assert!((eps_cover_scale(0.5) - 1.0 / 2.25).abs() < 1e-15);
-    }
-
-    #[test]
-    fn with_splitter_sets_both_layers() {
-        let cfg = KnnDcConfig::new(1).with_splitter(SplitterKind::Graph);
-        assert_eq!(cfg.splitter, SplitterKind::Graph);
-        assert_eq!(cfg.query.splitter, SplitterKind::Graph);
-        // Default stays the paper's engine.
-        assert_eq!(KnnDcConfig::new(1).splitter, SplitterKind::Random);
     }
 
     #[test]

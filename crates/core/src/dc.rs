@@ -138,7 +138,7 @@ impl Routed for (Vec<u32>, Vec<u32>) {
 }
 
 /// An engine's three hooks. `E = D + 1` is the lift dimension of the
-/// backends' candidate generator.
+/// backend's candidate generator.
 pub(crate) trait Engine<const D: usize, const E: usize>: Sync {
     /// What a successful [`Self::route`] hands the children.
     type Routed: Routed;

@@ -15,7 +15,7 @@
 //! | §3 batch serving (read path over [`query`]) | [`serve`] |
 //! | persistent index snapshots (save/load) | [`snapshot`] |
 //! | batch-dynamic sharding (logarithmic method) | [`sharded`] |
-//! | separator divide-and-conquer driver, split-decision backends | `dc`, [`splitter`] |
+//! | separator divide-and-conquer driver, random sphere split backend | `dc`, [`splitter`] |
 //!
 //! Baselines and substrates: [`brute`] (the `O(n²)` oracle), [`kdtree`]
 //! (the sequential `O(n log n)`-class baseline standing in for Vaidya's
@@ -72,9 +72,7 @@ pub use kdtree::{kdtree_all_knn, try_kdtree_all_knn, KdTree};
 pub use knn::{ErrorCertificate, KnnResult, Neighbor};
 pub use neighborhood::NeighborhoodSystem;
 pub use parallel::{parallel_knn, try_parallel_knn, ParallelDcOutput, ParallelDcStats};
-pub use partition_tree::{
-    march_balls, march_balls_unpruned, MarchOutcome, PartitionNode, PartitionTree,
-};
+pub use partition_tree::{march_balls, MarchOutcome, PartitionNode, PartitionTree};
 pub use query::{QueryTree, QueryTreeConfig, QueryTreeStats};
 pub use report::{
     DepthRow, Phase, PhaseSample, ReportError, RunRecorder, RunReport, RUN_REPORT_VERSION,
@@ -85,9 +83,8 @@ pub use simple_parallel::{
     simple_parallel_knn, try_simple_parallel_knn, SimpleDcOutput, SimpleDcStats,
 };
 pub use snapshot::{
-    load_partition_tree, load_query_tree, load_sharded_index, save_partition_tree, save_query_tree,
-    save_sharded_index, SectionInfo, SnapshotError, SnapshotInfo, SnapshotKind, SNAPSHOT_MAGIC,
-    SNAPSHOT_VERSION,
+    load_query_tree, load_sharded_index, save_query_tree, save_sharded_index, SectionInfo,
+    SnapshotError, SnapshotInfo, SnapshotKind, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
-pub use splitter::{splitter_for, GraphSplitter, RandomSphere, Splitter, SplitterKind};
+pub use splitter::{splitter_for, RandomSphere, Splitter, SplitterKind};
 pub use validate::{validate_against_oracle, validate_knn, ValidationError};

@@ -26,7 +26,7 @@ use crate::partition_tree::{march_arena_par, PartitionNode, PartitionTree};
 use crate::report::{cost_counters, meter_counters, stats_counters, Phase, RunRecorder, RunReport};
 use crate::seeding::punt_seed;
 use crate::shared::SharedLists;
-use crate::splitter::splitter_for;
+use crate::splitter::RandomSphere;
 use rayon::prelude::*;
 use sepdc_geom::aabb::Aabb;
 use sepdc_geom::point::Point;
@@ -91,9 +91,6 @@ pub struct ParallelDcStats {
     /// too). Below 2^14 points the backend rescues the halving cut, above
     /// it the halving cut rescues the backend.
     pub halving_rescues: u64,
-    /// Nodes split by the BFS/greedy intersection-graph separator (the
-    /// `graph` backend).
-    pub graph_splits: u64,
 }
 
 impl ParallelDcStats {
@@ -114,7 +111,7 @@ impl ParallelDcStats {
             height, total_crossing, max_node_crossing, max_crossing_vs_threshold,
             fast_corrections, punts_threshold, punts_marching, max_marching_ratio,
             base_leaves, forced_leaves, degenerate_splits, depth_forced_leaves,
-            candidates, halving_splits, halving_rescues, graph_splits)
+            candidates, halving_splits, halving_rescues)
     }
 
     fn merge(self, o: Self) -> Self {
@@ -136,7 +133,6 @@ impl ParallelDcStats {
             candidates: self.candidates + o.candidates,
             halving_splits: self.halving_splits + o.halving_splits,
             halving_rescues: self.halving_rescues + o.halving_rescues,
-            graph_splits: self.graph_splits + o.graph_splits,
         }
     }
 }
@@ -229,13 +225,7 @@ pub fn try_parallel_knn<const D: usize, const E: usize>(
         meter: &meter,
         obs: &obs,
     };
-    let driver = Driver::<D, E>::for_knn(
-        cfg,
-        n,
-        Rule::Backend(splitter_for(cfg.splitter)),
-        &obs,
-        Some(&meter),
-    );
+    let driver = Driver::<D, E>::for_knn(cfg, n, Rule::Backend(&RandomSphere), &obs, Some(&meter));
     // The permutation arena: the recursion partitions this buffer in
     // place, handing each recursive call a disjoint `&mut` slice — no
     // per-level id-set clones.
@@ -294,7 +284,6 @@ pub(crate) fn knn_report<const D: usize, const E: usize>(
         ("parallel_cutoff".to_string(), cfg.parallel_cutoff as f64),
         ("depth_limit".to_string(), driver.depth_limit as f64),
         ("record".to_string(), f64::from(u8::from(cfg.record))),
-        ("splitter".to_string(), cfg.splitter.code() as f64),
         ("epsilon".to_string(), cfg.epsilon),
     ];
     RunReport {
@@ -423,11 +412,7 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
         stats.max_node_crossing = stats.max_node_crossing.max(crossing_total);
         stats.max_crossing_vs_threshold = stats.max_crossing_vs_threshold.max(crossing_ratio);
         stats.candidates += node.attempts;
-        match node.outcome {
-            SearchOutcome::Halving => stats.halving_splits += 1,
-            SearchOutcome::Graph => stats.graph_splits += 1,
-            SearchOutcome::Random | SearchOutcome::Fallback => {}
-        }
+        stats.halving_splits += u64::from(node.outcome == SearchOutcome::Halving);
         stats.halving_rescues += u64::from(node.rescued);
 
         let qseed = punt_seed(node.seed);
@@ -645,8 +630,8 @@ mod tests {
         check_matches_oracle::<3, 4>(Workload::Clusters, 800, 1, 8);
     }
 
-    /// Internal nodes cut by a sphere: the `random` and `graph` backends'
-    /// cuts (the halving cut is a hyperplane).
+    /// Internal nodes cut by a sphere: the backend's accepted candidates
+    /// (the halving cut and the median fallback are hyperplanes).
     fn sphere_splits<const D: usize>(out: &ParallelDcOutput<D>) -> usize {
         out.tree
             .nodes()
@@ -894,15 +879,12 @@ mod tests {
     }
 
     #[test]
-    fn every_backend_matches_oracle_on_degenerate_workloads() {
-        use crate::splitter::SplitterKind;
+    fn backend_matches_oracle_on_degenerate_workloads() {
         use rand::SeedableRng;
         use sepdc_workloads::degenerate::{duplicate_bundles, tolerance_band_cluster};
 
-        // At the cutoff the root asks the backend first; every node below
-        // it takes the halving cut. `random` cuts every root. `graph` cuts
-        // the tolerance-band root; on the duplicate bundles and the noisy
-        // line it returns no cut and the halving fallback cuts the root.
+        // At the cutoff the root asks the backend first and the backend
+        // cuts it; every node below it takes the halving cut.
         let n = crate::dc::HALVING_FIRST_BELOW;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(77);
         let workloads: Vec<(&str, Vec<sepdc_geom::Point<2>>)> = vec![
@@ -918,43 +900,32 @@ mod tests {
         ];
         for (name, pts) in &workloads {
             let oracle = brute_force_knn(pts, 2);
-            for kind in [SplitterKind::Random, SplitterKind::Graph] {
-                let cfg = KnnDcConfig::new(2).with_seed(11).with_splitter(kind);
-                let out = parallel_knn::<2, 3>(pts, &cfg);
-                out.knn
-                    .identical_to(&oracle)
-                    .unwrap_or_else(|e| panic!("{name} under {:?}: {e}", kind));
-                out.knn.check_invariants().unwrap();
-                // A backend search adds at least one candidate, a halving
-                // cut exactly one: more candidates than halving splits
-                // means the backend was asked.
-                assert!(
-                    out.stats.candidates > out.stats.halving_splits,
-                    "{name} under {kind:?}: backend never asked: {:?}",
-                    out.stats
-                );
-                let cut = match kind {
-                    SplitterKind::Random => sphere_splits(&out) > 0,
-                    SplitterKind::Graph => {
-                        out.stats.graph_splits > 0 || *name != "tolerance_band_cluster"
-                    }
-                };
-                assert!(
-                    cut,
-                    "{name} under {kind:?}: backend cut no node: {:?}",
-                    out.stats
-                );
-            }
+            let cfg = KnnDcConfig::new(2).with_seed(11);
+            let out = parallel_knn::<2, 3>(pts, &cfg);
+            out.knn
+                .identical_to(&oracle)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            out.knn.check_invariants().unwrap();
+            // A backend search adds at least one candidate, a halving
+            // cut exactly one: more candidates than halving splits
+            // means the backend was asked.
+            assert!(
+                out.stats.candidates > out.stats.halving_splits,
+                "{name}: backend never asked: {:?}",
+                out.stats
+            );
+            assert!(
+                sphere_splits(&out) > 0,
+                "{name}: backend cut no node: {:?}",
+                out.stats
+            );
         }
-        // all_coincident: no backend can split, but all must stay correct.
+        // all_coincident: the backend cannot split, but the answer must
+        // stay correct.
         let same = sepdc_workloads::degenerate::all_coincident::<2>(200, 2.5);
-        let oracle = brute_force_knn(&same, 2);
-        for kind in [SplitterKind::Random, SplitterKind::Graph] {
-            let cfg = KnnDcConfig::new(2).with_splitter(kind);
-            let out = parallel_knn::<2, 3>(&same, &cfg);
-            out.knn.identical_to(&oracle).unwrap();
-            assert!(out.stats.forced_leaves >= 1);
-        }
+        let out = parallel_knn::<2, 3>(&same, &KnnDcConfig::new(2));
+        out.knn.identical_to(&brute_force_knn(&same, 2)).unwrap();
+        assert!(out.stats.forced_leaves >= 1);
     }
 
     #[test]

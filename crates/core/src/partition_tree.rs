@@ -276,7 +276,8 @@ pub fn march_balls<const D: usize>(
 /// bounds. The pruned and unpruned marches agree on every in-ball
 /// candidate (pruning only removes subtrees whose box the ball misses, and
 /// such subtrees cannot contain in-ball points) — the soundness tests pin
-/// this equivalence.
+/// this equivalence. A test reference only, hence hidden.
+#[doc(hidden)]
 pub fn march_balls_unpruned<const D: usize>(
     tree: &PartitionTree<D>,
     balls: &[Ball<D>],

@@ -17,7 +17,7 @@ use crate::config::eps_cover_scale;
 use crate::dc::{Driver, Engine, Leaf, Node, Rule};
 use crate::error::{validate_points, SepdcError};
 use crate::report::{cost_counters, stats_counters, RunRecorder, RunReport};
-use crate::splitter::{splitter_for, SplitterKind};
+use crate::splitter::RandomSphere;
 use rayon::prelude::*;
 use sepdc_geom::ball::Ball;
 use sepdc_geom::point::Point;
@@ -42,11 +42,6 @@ pub struct QueryTreeConfig {
     pub leaf_size: usize,
     /// Separator search configuration.
     pub separator: SeparatorConfig,
-    /// Which split-decision backend cuts the nodes of at least 2^14 balls
-    /// ([`crate::splitter`]); smaller nodes try the halving cut first. The
-    /// default [`SplitterKind::Random`] is the paper's engine; recorded in
-    /// snapshot metadata so a loaded tree remembers how it was built.
-    pub splitter: SplitterKind,
     /// Subtree size below which construction stops forking rayon tasks.
     pub parallel_cutoff: usize,
     /// Whether to record build phase timings and the per-depth histogram
@@ -67,7 +62,6 @@ impl Default for QueryTreeConfig {
         QueryTreeConfig {
             leaf_size: 48,
             separator: SeparatorConfig::default(),
-            splitter: SplitterKind::Random,
             parallel_cutoff: 4096,
             record: false,
             epsilon: 0.0,
@@ -128,9 +122,6 @@ pub struct QueryTree<const D: usize> {
     stats: QueryTreeStats,
     cost: CostProfile,
     report: RunReport,
-    /// Which split-decision backend built this tree (round-tripped through
-    /// snapshots).
-    splitter: SplitterKind,
     /// Cover-filter relaxation ε (round-tripped through snapshots).
     epsilon: f64,
 }
@@ -206,7 +197,7 @@ impl<const D: usize> QueryTree<D> {
         let depth_limit = 8 * ((balls.len().max(2) as f64).log2().ceil() as usize) + 64;
         let obs = RunRecorder::new(cfg.record, depth_limit);
         let driver = Driver {
-            rule: Rule::Backend(splitter_for::<D, E>(cfg.splitter)),
+            rule: Rule::<D, E>::Backend(&RandomSphere),
             sep: &cfg.separator,
             obs: &obs,
             meter: None,
@@ -237,7 +228,6 @@ impl<const D: usize> QueryTree<D> {
                     cfg.separator.max_attempts as f64,
                 ),
                 ("record".to_string(), f64::from(u8::from(cfg.record))),
-                ("splitter".to_string(), cfg.splitter.code() as f64),
                 ("epsilon".to_string(), cfg.epsilon),
             ],
             phases: obs.phases(),
@@ -252,7 +242,6 @@ impl<const D: usize> QueryTree<D> {
             stats: built.stats,
             cost: built.cost,
             report,
-            splitter: cfg.splitter,
             epsilon: cfg.epsilon,
         })
     }
@@ -386,7 +375,6 @@ impl<const D: usize> QueryTree<D> {
         stats: QueryTreeStats,
         cost: CostProfile,
         seed: u64,
-        splitter: SplitterKind,
         epsilon: f64,
         load_elapsed: std::time::Duration,
     ) -> Self {
@@ -414,15 +402,8 @@ impl<const D: usize> QueryTree<D> {
             stats,
             cost,
             report,
-            splitter,
             epsilon,
         }
-    }
-
-    /// The split-decision backend this tree was built with (restored from
-    /// metadata when the tree came from a snapshot).
-    pub fn splitter(&self) -> SplitterKind {
-        self.splitter
     }
 
     /// The cover-filter relaxation ε this tree was built with (`0.0` =
@@ -789,35 +770,25 @@ mod tests {
         let knn = crate::kdtree::kdtree_all_knn(&pts, 2);
         let sys = NeighborhoodSystem::from_knn(&pts, &knn);
         let probes = Workload::UniformCube.generate::<2>(300, 14);
-        for kind in [SplitterKind::Random, SplitterKind::Graph] {
-            let cfg = QueryTreeConfig {
-                splitter: kind,
-                ..QueryTreeConfig::default()
-            };
-            let tree = QueryTree::build::<3>(sys.balls(), cfg, 3);
-            assert!(
-                matches!(
-                    &tree.root,
-                    QNode::Internal {
-                        sep: Separator::Sphere(_),
-                        ..
-                    }
-                ),
-                "{kind:?}: the root did not take the backend's cut"
-            );
-            assert!(
-                sphere_nodes(&tree.root) >= 2,
-                "{kind:?}: {:?}",
-                tree.stats()
-            );
-            for p in pts.iter().take(300).chain(&probes) {
-                let mut fast = tree.covering(p);
-                fast.sort_unstable();
-                let slow: Vec<u32> = (0..sys.balls().len() as u32)
-                    .filter(|&i| sys.balls()[i as usize].contains(p))
-                    .collect();
-                assert_eq!(fast, slow, "{kind:?}: covering mismatch at {p:?}");
-            }
+        let tree = QueryTree::build::<3>(sys.balls(), QueryTreeConfig::default(), 3);
+        assert!(
+            matches!(
+                &tree.root,
+                QNode::Internal {
+                    sep: Separator::Sphere(_),
+                    ..
+                }
+            ),
+            "the root did not take the backend's cut"
+        );
+        assert!(sphere_nodes(&tree.root) >= 2, "{:?}", tree.stats());
+        for p in pts.iter().take(300).chain(&probes) {
+            let mut fast = tree.covering(p);
+            fast.sort_unstable();
+            let slow: Vec<u32> = (0..sys.balls().len() as u32)
+                .filter(|&i| sys.balls()[i as usize].contains(p))
+                .collect();
+            assert_eq!(fast, slow, "covering mismatch at {p:?}");
         }
     }
 

@@ -1,5 +1,5 @@
 //! Persistent index snapshots: a versioned on-disk format for
-//! [`QueryTree`], [`PartitionTree`], and [`ShardedIndex`].
+//! [`QueryTree`] and [`ShardedIndex`].
 //!
 //! BENCH_query_throughput.json shows the query structure answering ~1M
 //! probes/s but costing ~900 ms to build — so a process that rebuilds on
@@ -15,8 +15,8 @@
 //! ```text
 //! header   magic [u8; 8] = "SEPDCSNP"
 //!          version       u32   (SNAPSHOT_VERSION)
-//!          kind          u32   (1 = query tree, 2 = partition tree,
-//!                               3 = sharded index)
+//!          kind          u32   (1 = query tree, 3 = sharded index;
+//!                               2 is retired)
 //!          dim           u32   (const D of the tree)
 //!          section_count u32
 //! table    section_count × { tag [u8; 4], offset u64, len u64, checksum u64 }
@@ -42,11 +42,8 @@
 //! the node array), so a crafted deep chain cannot overflow the stack.
 
 use crate::error::SepdcError;
-use crate::partition_tree::{PartitionNode, PartitionTree};
 use crate::query::{QNode, QueryTree, QueryTreeConfig, QueryTreeStats};
 use crate::sharded::{ShardedConfig, ShardedIndex};
-use crate::splitter::SplitterKind;
-use sepdc_geom::aabb::Aabb;
 use sepdc_geom::ball::Ball;
 use sepdc_geom::halfspace::Hyperplane;
 use sepdc_geom::point::Point;
@@ -74,8 +71,6 @@ pub const TABLE_ENTRY_LEN: usize = 4 + 8 + 8 + 8;
 pub enum SnapshotKind {
     /// A [`QueryTree`] (§3 neighborhood query structure + SoA ball columns).
     QueryTree,
-    /// A [`PartitionTree`] (§6 arena tree + permutation + optional bounds).
-    PartitionTree,
     /// A [`ShardedIndex`] (logarithmic-method shard manifest wrapping
     /// nested query-tree snapshots, tombstone bitmaps, and the staging
     /// array).
@@ -86,7 +81,6 @@ impl SnapshotKind {
     fn code(self) -> u32 {
         match self {
             SnapshotKind::QueryTree => 1,
-            SnapshotKind::PartitionTree => 2,
             SnapshotKind::ShardedIndex => 3,
         }
     }
@@ -94,7 +88,6 @@ impl SnapshotKind {
     fn from_code(code: u32) -> Option<Self> {
         match code {
             1 => Some(SnapshotKind::QueryTree),
-            2 => Some(SnapshotKind::PartitionTree),
             3 => Some(SnapshotKind::ShardedIndex),
             _ => None,
         }
@@ -104,7 +97,6 @@ impl SnapshotKind {
     pub fn name(self) -> &'static str {
         match self {
             SnapshotKind::QueryTree => "query-tree",
-            SnapshotKind::PartitionTree => "partition-tree",
             SnapshotKind::ShardedIndex => "sharded-index",
         }
     }
@@ -229,9 +221,6 @@ const TAG_META: &[u8; 4] = b"META";
 const TAG_BALL: &[u8; 4] = b"BALL";
 const TAG_NODE: &[u8; 4] = b"NODE";
 const TAG_LFID: &[u8; 4] = b"LFID";
-const TAG_PNOD: &[u8; 4] = b"PNOD";
-const TAG_PERM: &[u8; 4] = b"PERM";
-const TAG_BNDS: &[u8; 4] = b"BNDS";
 const TAG_SMET: &[u8; 4] = b"SMET";
 const TAG_SHRD: &[u8; 4] = b"SHRD";
 const TAG_GIDS: &[u8; 4] = b"GIDS";
@@ -586,9 +575,6 @@ fn tag_name(tag: &[u8; 4]) -> &'static str {
         TAG_BALL => "BALL",
         TAG_NODE => "NODE",
         TAG_LFID => "LFID",
-        TAG_PNOD => "PNOD",
-        TAG_PERM => "PERM",
-        TAG_BNDS => "BNDS",
         TAG_SMET => "SMET",
         TAG_SHRD => "SHRD",
         TAG_GIDS => "GIDS",
@@ -605,7 +591,7 @@ fn tag_name(tag: &[u8; 4]) -> &'static str {
 /// Serialize a [`QueryTree`] into snapshot bytes.
 ///
 /// Sections: `META` (16 `u64` words: seed, ball count, the seven stats,
-/// the five cost-profile fields, splitter code, ε bits),
+/// the five cost-profile fields, a splitter word that is always 0, ε bits),
 /// `BALL` (the SoA center columns plus radii — written straight from the columnar arena,
 /// no transpose), `NODE` (the tree flattened postorder, children before
 /// parents, root last), `LFID` (concatenated leaf ball-id lists).
@@ -629,7 +615,7 @@ pub fn save_query_tree<const D: usize>(tree: &QueryTree<D>) -> Vec<u8> {
         cost.scan_ops,
         cost.separator_candidates,
         cost.punts,
-        tree.splitter().code(),
+        0,
         tree.epsilon().to_bits(),
     ] {
         put_u64(&mut meta, v);
@@ -728,7 +714,6 @@ struct QueryMeta {
     n_balls: u64,
     stats: QueryTreeStats,
     cost: CostProfile,
-    splitter: SplitterKind,
     epsilon: f64,
 }
 
@@ -755,9 +740,12 @@ fn load_query_meta(body: &[u8]) -> Result<QueryMeta, SnapshotError> {
         separator_candidates: c.u64()?,
         punts: c.u64()?,
     };
+    // The splitter word: 0 is the random sphere search, the only backend.
+    // Codes 1 and 2 named retired backends.
     let code = c.u64()?;
-    let splitter = SplitterKind::from_code(code)
-        .ok_or_else(|| corrupt("META", format!("unknown splitter code {code}")))?;
+    if code != 0 {
+        return Err(corrupt("META", format!("unknown splitter code {code}")));
+    }
     let epsilon = f64::from_bits(c.u64()?);
     if !epsilon.is_finite() || !(0.0..=1.0).contains(&epsilon) {
         return Err(corrupt("META", format!("epsilon {epsilon} outside [0, 1]")));
@@ -768,7 +756,6 @@ fn load_query_meta(body: &[u8]) -> Result<QueryMeta, SnapshotError> {
         n_balls,
         stats,
         cost,
-        splitter,
         epsilon,
     })
 }
@@ -995,255 +982,9 @@ pub fn load_query_tree<const D: usize>(bytes: &[u8]) -> Result<QueryTree<D>, Sep
         meta.stats,
         meta.cost,
         meta.seed,
-        meta.splitter,
         meta.epsilon,
         t0.elapsed(),
     ))
-}
-
-// ---------------------------------------------------------------------------
-// PartitionTree save/load
-// ---------------------------------------------------------------------------
-
-/// Serialize a [`PartitionTree`] into snapshot bytes.
-///
-/// Sections: `META` (perm length, bounds flag), `PNOD` (the arena, already
-/// postorder), `PERM` (the shared permutation array), `BNDS` (per-node
-/// bounding boxes, present only when the tree carries them).
-pub fn save_partition_tree<const D: usize>(tree: &PartitionTree<D>) -> Vec<u8> {
-    let mut meta = Vec::with_capacity(16);
-    put_u64(&mut meta, tree.perm().len() as u64);
-    put_u64(&mut meta, u64::from(tree.bounds().is_some()));
-
-    let nodes = tree.nodes();
-    let mut pnod = Vec::new();
-    put_u64(&mut pnod, nodes.len() as u64);
-    for node in nodes {
-        match node {
-            PartitionNode::Leaf { start, len } => {
-                pnod.push(NODE_LEAF);
-                put_u32(&mut pnod, *start);
-                put_u32(&mut pnod, *len);
-            }
-            PartitionNode::Internal {
-                sep,
-                size,
-                left,
-                right,
-            } => {
-                let (tag, coords, scalar) = match sep {
-                    Separator::Sphere(s) => (NODE_SPHERE, &s.center, s.radius),
-                    Separator::Halfspace(h) => (NODE_HALFSPACE, &h.normal, h.offset),
-                };
-                pnod.push(tag);
-                put_u32(&mut pnod, *size);
-                put_u32(&mut pnod, *left);
-                put_u32(&mut pnod, *right);
-                for d in 0..D {
-                    put_f64(&mut pnod, coords.0[d]);
-                }
-                put_f64(&mut pnod, scalar);
-            }
-        }
-    }
-
-    let mut perm = Vec::new();
-    put_u32_array(&mut perm, tree.perm());
-
-    let mut sections = vec![(TAG_META, meta), (TAG_PNOD, pnod), (TAG_PERM, perm)];
-    if let Some(bounds) = tree.bounds() {
-        let mut bnds = Vec::with_capacity(8 + bounds.len() * 2 * D * 8);
-        put_u64(&mut bnds, bounds.len() as u64);
-        for b in bounds {
-            for d in 0..D {
-                put_f64(&mut bnds, b.lo.0[d]);
-            }
-            for d in 0..D {
-                put_f64(&mut bnds, b.hi.0[d]);
-            }
-        }
-        sections.push((TAG_BNDS, bnds));
-    }
-    assemble_container(SnapshotKind::PartitionTree, D as u32, &sections)
-}
-
-/// Reconstruct a [`PartitionTree`] from snapshot bytes, validating the
-/// arena invariants the in-memory builder establishes by construction:
-/// children strictly precede parents, every non-root node is referenced
-/// exactly once, leaf ranges lie inside the permutation array, separator
-/// geometry is finite.
-pub fn load_partition_tree<const D: usize>(bytes: &[u8]) -> Result<PartitionTree<D>, SepdcError> {
-    let c = parse_container(bytes)?;
-    if c.kind != SnapshotKind::PartitionTree {
-        return Err(SnapshotError::KindMismatch {
-            found: c.kind,
-            expected: SnapshotKind::PartitionTree,
-        }
-        .into());
-    }
-    if c.dim != D as u32 {
-        return Err(SnapshotError::DimensionMismatch {
-            found: c.dim,
-            expected: D as u32,
-        }
-        .into());
-    }
-
-    let mut cur = Cursor::new(c.section(TAG_META, "META")?, "META");
-    let perm_len = cur.u64()?;
-    let has_bounds = cur.u64()?;
-    cur.finish()?;
-    if has_bounds > 1 {
-        return Err(corrupt("META", format!("bounds flag {has_bounds} is not 0/1")).into());
-    }
-
-    let mut cur = Cursor::new(c.section(TAG_PERM, "PERM")?, "PERM");
-    let perm = cur.u32_array()?;
-    cur.finish()?;
-    if perm.len() as u64 != perm_len {
-        return Err(corrupt(
-            "PERM",
-            format!(
-                "permutation has {} entries, META says {perm_len}",
-                perm.len()
-            ),
-        )
-        .into());
-    }
-
-    let mut cur = Cursor::new(c.section(TAG_PNOD, "PNOD")?, "PNOD");
-    let count = cur.array_len(1)?;
-    if count == 0 {
-        return Err(corrupt("PNOD", "empty node array").into());
-    }
-    let mut nodes: Vec<PartitionNode<D>> = Vec::with_capacity(count);
-    let mut referenced = vec![false; count];
-    for i in 0..count {
-        match cur.u8()? {
-            NODE_LEAF => {
-                let start = cur.u32()?;
-                let len = cur.u32()?;
-                let end = u64::from(start) + u64::from(len);
-                if end > perm.len() as u64 {
-                    return Err(corrupt(
-                        "PNOD",
-                        format!(
-                            "leaf {i} range {start}+{len} exceeds perm length {}",
-                            perm.len()
-                        ),
-                    )
-                    .into());
-                }
-                nodes.push(PartitionNode::Leaf { start, len });
-            }
-            tag @ (NODE_SPHERE | NODE_HALFSPACE) => {
-                let size = cur.u32()?;
-                let left = cur.u32()?;
-                let right = cur.u32()?;
-                let (l, r) = (left as usize, right as usize);
-                if l >= i || r >= i || l == r {
-                    return Err(corrupt(
-                        "PNOD",
-                        format!("internal {i} has invalid children ({left}, {right})"),
-                    )
-                    .into());
-                }
-                for (c, name) in [(l, "left"), (r, "right")] {
-                    if referenced[c] {
-                        return Err(corrupt(
-                            "PNOD",
-                            format!("{name} child {c} of internal {i} already has a parent"),
-                        )
-                        .into());
-                    }
-                    referenced[c] = true;
-                }
-                let mut coords = [0.0f64; D];
-                for v in &mut coords {
-                    *v = cur.f64()?;
-                }
-                let scalar = cur.f64()?;
-                let finite = coords.iter().all(|v| v.is_finite()) && scalar.is_finite();
-                let sep = if tag == NODE_SPHERE {
-                    if !finite || scalar <= 0.0 {
-                        return Err(corrupt(
-                            "PNOD",
-                            format!("internal {i} has a degenerate sphere separator"),
-                        )
-                        .into());
-                    }
-                    Separator::Sphere(Sphere {
-                        center: Point(coords),
-                        radius: scalar,
-                    })
-                } else {
-                    if !finite {
-                        return Err(corrupt(
-                            "PNOD",
-                            format!("internal {i} has a non-finite halfspace separator"),
-                        )
-                        .into());
-                    }
-                    Separator::Halfspace(Hyperplane {
-                        normal: Point(coords),
-                        offset: scalar,
-                    })
-                };
-                nodes.push(PartitionNode::Internal {
-                    sep,
-                    size,
-                    left,
-                    right,
-                });
-            }
-            other => {
-                return Err(corrupt("PNOD", format!("unknown node tag {other} at node {i}")).into())
-            }
-        }
-    }
-    cur.finish()?;
-    if let Some(orphan) = referenced[..count - 1].iter().position(|r| !r) {
-        return Err(corrupt(
-            "PNOD",
-            format!("node {orphan} is unreachable from the root"),
-        )
-        .into());
-    }
-    if referenced[count - 1] {
-        return Err(corrupt("PNOD", "root node has a parent").into());
-    }
-
-    if has_bounds == 1 {
-        let mut cur = Cursor::new(c.section(TAG_BNDS, "BNDS")?, "BNDS");
-        let n_bounds = cur.array_len(2 * D * 8)?;
-        if n_bounds != count {
-            return Err(corrupt("BNDS", format!("{n_bounds} boxes for {count} nodes")).into());
-        }
-        let mut bounds: Vec<Aabb<D>> = Vec::with_capacity(n_bounds);
-        for i in 0..n_bounds {
-            let mut lo = [0.0f64; D];
-            let mut hi = [0.0f64; D];
-            for v in &mut lo {
-                *v = cur.f64()?;
-            }
-            for v in &mut hi {
-                *v = cur.f64()?;
-            }
-            // ±inf is legal (the empty box); NaN would poison the
-            // marching-prune distance tests.
-            if lo.iter().chain(hi.iter()).any(|v| v.is_nan()) {
-                return Err(corrupt("BNDS", format!("NaN bound at node {i}")).into());
-            }
-            bounds.push(Aabb {
-                lo: Point(lo),
-                hi: Point(hi),
-            });
-        }
-        cur.finish()?;
-        Ok(PartitionTree::from_parts_with_bounds(nodes, perm, bounds))
-    } else {
-        Ok(PartitionTree::from_parts(nodes, perm))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1593,7 +1334,6 @@ pub fn load_sharded_index<const D: usize>(bytes: &[u8]) -> Result<ShardedIndex<D
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::KnnDcConfig;
     use crate::neighborhood::NeighborhoodSystem;
     use crate::query::QueryTreeConfig;
     use crate::serve::CoverPredicate;
@@ -1643,19 +1383,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_tree_round_trips() {
-        let points = Workload::Clusters.generate::<2>(600, 9);
-        let out = crate::parallel::parallel_knn::<2, 3>(&points, &KnnDcConfig::new(3));
-        let tree = out.tree;
-        let bytes = save_partition_tree(&tree);
-        let loaded = load_partition_tree::<2>(&bytes).unwrap();
-        assert_eq!(loaded.nodes(), tree.nodes());
-        assert_eq!(loaded.perm(), tree.perm());
-        assert_eq!(loaded.bounds(), tree.bounds());
-        assert_eq!(save_partition_tree(&loaded), bytes);
-    }
-
-    #[test]
     fn inspect_reports_sections() {
         let tree = sample_tree(200);
         let bytes = save_query_tree(&tree);
@@ -1677,12 +1404,10 @@ mod tests {
         let tree = sample_tree(100);
         let bytes = save_query_tree(&tree);
         assert_eq!(
-            load_partition_tree::<2>(&bytes)
-                .map(|t| t.nodes().len())
-                .err(),
-            Some(SepdcError::Snapshot(SnapshotError::KindMismatch {
+            load_sharded_index::<2>(&bytes).map(|i| i.len()),
+            Err(SepdcError::Snapshot(SnapshotError::KindMismatch {
                 found: SnapshotKind::QueryTree,
-                expected: SnapshotKind::PartitionTree,
+                expected: SnapshotKind::ShardedIndex,
             }))
         );
         assert_eq!(

@@ -1,12 +1,12 @@
-//! Thread-count build parity for every splitter backend.
+//! Thread-count build parity for the random sphere backend.
 //!
 //! The determinism contract says every build is a pure function of
 //! (points, config, seed) — at any rayon pool size. This suite pins it
-//! for the `random` and `graph` backends over adversarial generators,
+//! for the paper's seeded sphere search over adversarial generators,
 //! over both the §6 k-NN recursion and the §3 query structure, using
 //! snapshot bytes as the strictest possible fingerprint (byte-identical
-//! trees, not just equal answers). The driver asks a backend first only
-//! at nodes of at least `HALVING_FIRST_BELOW` items, so the backends are
+//! trees, not just equal answers). The driver asks the backend first only
+//! at nodes of at least `HALVING_FIRST_BELOW` items, so the backend is
 //! pinned on inputs of that size; the small-input proptest pins the
 //! halving-first path below it.
 //!
@@ -21,7 +21,7 @@ use rand_chacha::ChaCha8Rng;
 use sepdc_core::snapshot::save_query_tree;
 use sepdc_core::{
     brute_force_knn, kdtree_all_knn, parallel_knn, KnnDcConfig, ParallelDcStats, QueryTree,
-    QueryTreeConfig, SplitterKind, HALVING_FIRST_BELOW,
+    QueryTreeConfig, HALVING_FIRST_BELOW,
 };
 use sepdc_geom::ball::Ball;
 use sepdc_geom::Point;
@@ -80,63 +80,37 @@ fn balls_of(points: &[Point<2>]) -> Vec<Ball<2>> {
         .collect()
 }
 
-/// Build `points` under `random` and `graph` in 1/2/7-thread pools and
-/// assert the builds are byte-identical: the §6 recursion (bit-exact
-/// neighbor lists + stats) and the §3 query tree (bit-exact snapshot
-/// bytes). Returns each backend's §6 stats.
+/// Build `points` in 1/2/7-thread pools and assert the builds are
+/// byte-identical: the §6 recursion (bit-exact neighbor lists + stats)
+/// and the §3 query tree (bit-exact snapshot bytes). Returns the §6 stats.
 fn assert_builds_identical_across_pools(
     points: &[Point<2>],
     seed: u64,
-) -> Result<Vec<(SplitterKind, ParallelDcStats)>, TestCaseError> {
+) -> Result<ParallelDcStats, TestCaseError> {
     let balls = balls_of(points);
-    let mut per_kind = Vec::new();
-    for kind in [SplitterKind::Random, SplitterKind::Graph] {
-        let cfg = KnnDcConfig::new(2).with_seed(seed).with_splitter(kind);
-        let tree_cfg = QueryTreeConfig {
-            splitter: kind,
-            ..QueryTreeConfig::default()
-        };
-        let mut base: Option<(_, ParallelDcStats, Vec<u8>)> = None;
-        for threads in POOLS {
-            let (fp, stats, snap) = in_pool(
-                threads,
-                || {
-                    let out = parallel_knn::<2, 3>(points, &cfg);
-                    let tree = QueryTree::try_build::<3>(&balls, tree_cfg, seed).unwrap();
-                    (knn_fingerprint(&out), out.stats, save_query_tree(&tree))
-                },
-                std::marker::PhantomData,
-            );
-            match &base {
-                None => base = Some((fp, stats, snap)),
-                Some((base_fp, base_stats, base_snap)) => {
-                    prop_assert_eq!(
-                        &fp,
-                        base_fp,
-                        "{:?} knn differs at {} threads",
-                        kind,
-                        threads
-                    );
-                    prop_assert_eq!(
-                        &stats,
-                        base_stats,
-                        "{:?} stats differ at {} threads",
-                        kind,
-                        threads
-                    );
-                    prop_assert_eq!(
-                        &snap,
-                        base_snap,
-                        "{:?} snapshot differs at {} threads",
-                        kind,
-                        threads
-                    );
-                }
+    let cfg = KnnDcConfig::new(2).with_seed(seed);
+    let mut base: Option<(_, ParallelDcStats, Vec<u8>)> = None;
+    for threads in POOLS {
+        let (fp, stats, snap) = in_pool(
+            threads,
+            || {
+                let out = parallel_knn::<2, 3>(points, &cfg);
+                let tree =
+                    QueryTree::try_build::<3>(&balls, QueryTreeConfig::default(), seed).unwrap();
+                (knn_fingerprint(&out), out.stats, save_query_tree(&tree))
+            },
+            std::marker::PhantomData,
+        );
+        match &base {
+            None => base = Some((fp, stats, snap)),
+            Some((base_fp, base_stats, base_snap)) => {
+                prop_assert_eq!(&fp, base_fp, "knn differs at {} threads", threads);
+                prop_assert_eq!(&stats, base_stats, "stats differ at {} threads", threads);
+                prop_assert_eq!(&snap, base_snap, "snapshot differs at {} threads", threads);
             }
         }
-        per_kind.push((kind, base.unwrap().1));
     }
-    Ok(per_kind)
+    Ok(base.unwrap().1)
 }
 
 proptest! {
@@ -154,41 +128,24 @@ proptest! {
     }
 }
 
-/// Every generator at the cutoff: the root of both builds asks the backend
-/// first, so this pins `random` and `graph` inside the driver. `random`
-/// cuts every root; `graph` cuts the uniform and tolerance-band roots, and
-/// on duplicate bundles and the noisy line it returns no cut and the
-/// halving fallback cuts the root. Fails if a backend stops being asked or
-/// stops cutting where it cuts today.
+/// Every generator at the cutoff: the root asks the backend first, so this
+/// pins the sphere search inside the driver. It cuts every root. Fails if
+/// the backend stops being asked or stops cutting.
 #[test]
 fn backends_build_identically_across_pools_at_the_cutoff() {
     for selector in 0..4 {
         let points = generate(selector, HALVING_FIRST_BELOW, 29 + u64::from(selector));
-        let per_kind = assert_builds_identical_across_pools(&points, 31).unwrap();
-        for (kind, stats) in per_kind {
-            // A backend search adds at least one candidate, a halving cut
-            // exactly one.
-            assert!(
-                stats.candidates > stats.halving_splits,
-                "selector {selector} {kind:?}: {stats:?}"
-            );
-            // Internal nodes are leaves - 1; those not cut by the halving
-            // cut were cut by the backend.
-            let backend = stats.base_leaves as u64 - 1 - stats.halving_splits;
-            match kind {
-                SplitterKind::Random => assert!(backend > 0, "selector {selector}: {stats:?}"),
-                SplitterKind::Graph => {
-                    assert_eq!(
-                        stats.graph_splits, backend,
-                        "selector {selector}: {stats:?}"
-                    );
-                    assert!(
-                        backend > 0 || selector % 2 == 1,
-                        "selector {selector}: {stats:?}"
-                    );
-                }
-            }
-        }
+        let stats = assert_builds_identical_across_pools(&points, 31).unwrap();
+        // A backend search adds at least one candidate, a halving cut
+        // exactly one.
+        assert!(
+            stats.candidates > stats.halving_splits,
+            "selector {selector}: {stats:?}"
+        );
+        // Internal nodes are leaves - 1; those not cut by the halving cut
+        // were cut by the backend.
+        let backend = stats.base_leaves as u64 - 1 - stats.halving_splits;
+        assert!(backend > 0, "selector {selector}: {stats:?}");
     }
 }
 

@@ -32,9 +32,6 @@ pub enum SearchOutcome {
     /// The derandomized widest-axis halving cut: the divide-and-conquer
     /// driver's first cut below 2^14 items, its fallback and rescue above.
     Halving,
-    /// A BFS/greedy separator over the sparse ball-intersection graph was
-    /// accepted (the `graph` splitter backend).
-    Graph,
 }
 
 /// A good separator together with the search statistics the complexity

@@ -15,7 +15,8 @@
 //! ball — and the end-to-end neighbor graph is byte-identical.
 
 use proptest::prelude::*;
-use sepdc::core::{brute_force_knn, march_balls, march_balls_unpruned, parallel_knn, KnnDcConfig};
+use sepdc::core::partition_tree::march_balls_unpruned;
+use sepdc::core::{brute_force_knn, march_balls, parallel_knn, KnnDcConfig};
 use sepdc::geom::ball::Ball;
 use sepdc::geom::point::Point;
 use sepdc::geom::soa::{SoaBalls, SoaPoints};

@@ -10,8 +10,8 @@ use proptest::prelude::*;
 use sepdc::core::serve::{CoverPredicate, ServeConfig};
 use sepdc::core::snapshot::{self, HEADER_LEN, TABLE_ENTRY_LEN};
 use sepdc::core::{
-    kdtree_all_knn, load_partition_tree, load_query_tree, parallel_knn, save_partition_tree,
-    save_query_tree, KnnDcConfig, NeighborhoodSystem, QueryTree, QueryTreeConfig, SepdcError,
+    kdtree_all_knn, load_query_tree, load_sharded_index, save_query_tree, save_sharded_index,
+    NeighborhoodSystem, QueryTree, QueryTreeConfig, SepdcError, ShardedConfig, ShardedIndex,
     SnapshotError, SNAPSHOT_VERSION,
 };
 use sepdc::workloads::Workload;
@@ -33,7 +33,7 @@ fn try_all_loads(bytes: &[u8]) -> Vec<Result<(), SepdcError>> {
     vec![
         snapshot::inspect(bytes).map(drop),
         load_query_tree::<2>(bytes).map(drop),
-        load_partition_tree::<2>(bytes).map(drop),
+        load_sharded_index::<2>(bytes).map(drop),
         // Wrong dimension on purpose: dimension checks must also be typed.
         load_query_tree::<3>(bytes).map(drop),
     ]
@@ -230,22 +230,53 @@ fn resealed_short_meta_is_truncated() {
 
 #[test]
 fn resealed_retired_splitter_code_is_corrupt() {
-    // META word 15 is the splitter code; code 1 belonged to a backend that
-    // no longer exists.
-    let mut bytes = fixture_bytes();
-    let (_, body) = find_section(&bytes, b"META");
-    let at = body.start + 14 * 8;
-    bytes[at..at + 8].copy_from_slice(&1u64.to_le_bytes());
-    reseal(&mut bytes, b"META");
-    let err = load_query_tree::<2>(&bytes).map(drop).unwrap_err();
-    let SepdcError::Snapshot(SnapshotError::Corrupt {
-        tag: "META",
-        detail,
-    }) = &err
-    else {
-        panic!("{err:?}");
+    // META word 15 is the splitter code. Only 0, the random sphere search,
+    // loads; codes 1 and 2 belonged to backends that no longer exist.
+    for code in [1u64, 2] {
+        let mut bytes = fixture_bytes();
+        let (_, body) = find_section(&bytes, b"META");
+        let at = body.start + 14 * 8;
+        assert_eq!(bytes[at..at + 8], 0u64.to_le_bytes());
+        bytes[at..at + 8].copy_from_slice(&code.to_le_bytes());
+        reseal(&mut bytes, b"META");
+        let err = load_query_tree::<2>(&bytes).map(drop).unwrap_err();
+        let SepdcError::Snapshot(SnapshotError::Corrupt {
+            tag: "META",
+            detail,
+        }) = &err
+        else {
+            panic!("{err:?}");
+        };
+        assert!(
+            detail.contains(&format!("unknown splitter code {code}")),
+            "{detail}"
+        );
+    }
+}
+
+#[test]
+fn unknown_kind_codes_are_bad_kind() {
+    // Kind 1 is a query tree and 3 a sharded index. Kind 2, the retired
+    // partition tree, is as unknown as 0 and 4, for every loader.
+    let balls: Vec<_> = build_tree(200, 2, 5).balls().to_vec();
+    let cfg = ShardedConfig {
+        staging_cap: 16,
+        tree: QueryTreeConfig::default(),
     };
-    assert!(detail.contains("unknown splitter code 1"), "{detail}");
+    let mut index = ShardedIndex::<2>::new(cfg, 7).unwrap();
+    index.try_insert_batch::<3>(&balls).unwrap();
+    for fixture in [fixture_bytes(), save_sharded_index(&index)] {
+        for found in [0u32, 2, 4] {
+            let mut bytes = fixture.clone();
+            bytes[12..16].copy_from_slice(&found.to_le_bytes());
+            for r in try_all_loads(&bytes) {
+                assert_eq!(
+                    r,
+                    Err(SepdcError::Snapshot(SnapshotError::BadKind { found }))
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -297,25 +328,5 @@ proptest! {
                     "{} predicate, {} threads", pred.name(), threads);
             }
         }
-    }
-
-    /// Partition trees round-trip exactly too: same arena, same
-    /// permutation, same leaf assignment for every point.
-    #[test]
-    fn partition_tree_round_trips(
-        n in 20usize..300,
-        k in 1usize..3,
-        seed in 0u64..1000,
-    ) {
-        let pts = Workload::Clusters.generate::<2>(n, seed);
-        let out = parallel_knn::<2, 3>(&pts, &KnnDcConfig::new(k).with_seed(seed));
-        let bytes = save_partition_tree(&out.tree);
-        let loaded = load_partition_tree::<2>(&bytes).unwrap();
-        prop_assert_eq!(&save_partition_tree(&loaded), &bytes);
-        prop_assert_eq!(loaded.perm(), out.tree.perm());
-        prop_assert_eq!(loaded.nodes().len(), out.tree.nodes().len());
-        prop_assert_eq!(loaded.size(), out.tree.size());
-        prop_assert_eq!(loaded.height(), out.tree.height());
-        prop_assert_eq!(loaded.leaves(), out.tree.leaves());
     }
 }
