@@ -32,7 +32,10 @@
 //! 3. Otherwise the node becomes a forced leaf: [`Leaf::Unsplittable`] when
 //!    neither source has a cut (every center identical),
 //!    [`Leaf::Degenerate`] when every cut routed one-sided. Recursing on
-//!    an unshrunk item set would never terminate.
+//!    an unshrunk item set would never terminate. The §5 and §6 engines
+//!    solve an unsplittable leaf in closed form: its points coincide, so
+//!    each list is the smallest other ids at distance 0, and no distance
+//!    is evaluated.
 //!
 //! Every step is a pure function of the node's items and path seed, so
 //! the output is identical at every pool size.

@@ -6,7 +6,11 @@
 //! first and then *correct* them by merging candidates from the other side
 //! of a separator — [`KnnResult::merge_candidate`] is that correction step.
 
+use crate::dc::Leaf;
+use crate::shared::SharedLists;
 use sepdc_geom::point::Point;
+use sepdc_geom::soa::SoaPoints;
+use sepdc_scan::CostProfile;
 
 /// One neighbor: index into the input point array plus squared distance.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -348,7 +352,10 @@ pub(crate) fn merge_into_row(
 /// Solve k-NN exactly within a subset of points by all-pairs scan, writing
 /// global indices into `result`. `ids` are indices into `points`.
 ///
-/// `O(|ids|² k)` — used for recursion base cases (`|ids| = O(log n)`).
+/// `O(|ids|² k)`. This is the reference solver: the correction tests seed
+/// their subsets with it and `bench_layers` replays a tree's leaves with
+/// it. The §5 and §6 recursions solve their leaves with the crate's leaf
+/// helper instead, which takes the all-coincident leaf in closed form.
 pub fn solve_subset_brute<const D: usize>(
     points: &[Point<D>],
     ids: &[u32],
@@ -360,6 +367,68 @@ pub fn solve_subset_brute<const D: usize>(
         brute_list_into(points, i, ids, k, &mut scratch);
         result.set_list(i as usize, &scratch);
     }
+}
+
+/// Solve a §5/§6 leaf: write the k-NN list of every point of `ids` within
+/// `ids` into `lists`. Returns the leaf's cost and the distances it
+/// evaluated.
+///
+/// A [`Leaf::Unsplittable`] leaf is solved in closed form. The driver makes
+/// one only when neither cut source has a cut, and the halving cut has
+/// none only when every point is equal on every axis. So each pairwise
+/// `dist_sq` is `+0.0` (signed zeros included), and under the (`dist_sq`,
+/// index) order of [`brute_list_soa_into`] a point's list is the
+/// `min(k, m − 1)` smallest other ids. The leaf selects the `k + 1`
+/// smallest ids once and writes every list from them: `O(m·k)` work,
+/// costed as `k + 1` min-scans over the `m` ids, and no distance
+/// evaluated, where the all-pairs scan costs `m²`. Every other leaf takes
+/// the all-pairs scan.
+pub(crate) fn solve_leaf<const D: usize>(
+    soa: &SoaPoints<D>,
+    lists: &SharedLists,
+    ids: &[u32],
+    kind: Leaf,
+) -> (CostProfile, u64) {
+    // Lists go straight into the shared store through one reused scratch
+    // buffer: an n-point KnnResult per leaf would cost O(n) per leaf.
+    let (m, k) = (ids.len(), lists.k());
+    let mut scratch = Vec::with_capacity(k + 1);
+    if kind == Leaf::Unsplittable {
+        debug_assert!(
+            ids.iter()
+                .all(|&i| soa.point(i as usize) == soa.point(ids[0] as usize)),
+            "an unsplittable leaf holds coincident points"
+        );
+        // The k + 1 smallest ids, ascending: a point's list is the first k
+        // of them other than itself.
+        let mut smallest: Vec<u32> = Vec::with_capacity(k + 2);
+        for &j in ids {
+            if smallest.len() > k && j > smallest[k] {
+                continue;
+            }
+            smallest.insert(smallest.partition_point(|&s| s < j), j);
+            smallest.truncate(k + 1);
+        }
+        for &i in ids {
+            scratch.clear();
+            scratch.extend(
+                smallest
+                    .iter()
+                    .filter(|&&j| j != i)
+                    .take(k)
+                    .map(|&idx| Neighbor { idx, dist_sq: 0.0 }),
+            );
+            lists.set_list(i as usize, &scratch);
+        }
+        return (CostProfile::rounds(k as u64 + 1, m as u64), 0);
+    }
+    let mut dists = Vec::with_capacity(m);
+    for &i in ids {
+        brute_list_soa_into(soa, i, ids, k, &mut dists, &mut scratch);
+        lists.set_list(i as usize, &scratch);
+    }
+    // Paper base case: "compute in m time using m processors".
+    (CostProfile::rounds(m as u64, m as u64), (m * m) as u64)
 }
 
 /// k-NN list of point `i` within the subset `ids` by one all-pairs scan:
@@ -400,7 +469,7 @@ pub(crate) fn brute_list_into<const D: usize>(
 /// distances are bit-for-bit the scalar kernel's and the candidate order is
 /// unchanged, so the resulting list is identical to the AoS path.
 pub(crate) fn brute_list_soa_into<const D: usize>(
-    soa: &sepdc_geom::SoaPoints<D>,
+    soa: &SoaPoints<D>,
     i: u32,
     ids: &[u32],
     k: usize,
@@ -596,6 +665,32 @@ mod tests {
     }
 
     #[test]
+    fn unsplittable_leaf_matches_the_all_pairs_scan() {
+        // A group with every signed-zero pattern, its ids in shuffled order
+        // and spread out, at k below, at and above the group size.
+        let zeros = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]];
+        let pts: Vec<Point<2>> = (0..40).map(|i| Point::from(zeros[i % 4])).collect();
+        let soa = SoaPoints::from_points(&pts);
+        for m in [1usize, 2, 9, 40] {
+            let ids: Vec<u32> = (0..m as u32).map(|j| (j * 17 + 5) % 40).rev().collect();
+            for k in [1usize, 3, 8, 39, 45] {
+                let solve = |kind| {
+                    let lists = SharedLists::new(pts.len(), k);
+                    let (cost, evals) = solve_leaf(&soa, &lists, &ids, kind);
+                    (lists.into_result(), cost, evals)
+                };
+                let (closed, cost, evals) = solve(Leaf::Unsplittable);
+                let (scan, _, scan_evals) = solve(Leaf::Degenerate);
+                closed
+                    .identical_to(&scan)
+                    .unwrap_or_else(|e| panic!("m={m} k={k}: {e}"));
+                assert_eq!((evals, scan_evals), (0, (m * m) as u64));
+                assert_eq!(cost, CostProfile::rounds(k as u64 + 1, m as u64));
+            }
+        }
+    }
+
+    #[test]
     fn soa_leaf_solve_matches_scalar_exactly() {
         // Duplicates included: tie-breaking must agree bit-for-bit.
         let mut pts: Vec<Point<2>> = (0..37)
@@ -603,7 +698,7 @@ mod tests {
             .collect();
         pts.push(pts[3]);
         pts.push(pts[3]);
-        let soa = sepdc_geom::SoaPoints::from_points(&pts);
+        let soa = SoaPoints::from_points(&pts);
         let ids: Vec<u32> = (0..pts.len() as u32).collect();
         let (mut a, mut b, mut dists) = (Vec::new(), Vec::new(), Vec::new());
         for k in [1usize, 3, 8] {

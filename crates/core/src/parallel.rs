@@ -21,7 +21,7 @@ use crate::config::KnnDcConfig;
 use crate::correction::{collect_both_sides, correct_via_query, CrossingBall};
 use crate::dc::{partition_points, Driver, Engine, Leaf, Node, Rule};
 use crate::error::{validate_points, SepdcError};
-use crate::knn::{brute_list_soa_into, KnnResult};
+use crate::knn::{solve_leaf, KnnResult};
 use crate::partition_tree::{march_arena_par, PartitionNode, PartitionTree};
 use crate::report::{cost_counters, meter_counters, stats_counters, Phase, RunRecorder, RunReport};
 use crate::seeding::punt_seed;
@@ -70,7 +70,11 @@ pub struct ParallelDcStats {
     pub max_marching_ratio: f64,
     /// Base-case leaves.
     pub base_leaves: usize,
-    /// Nodes where no separator could split (identical points).
+    /// Forced leaves of every kind: all-coincident leaves, which no cut
+    /// splits and which are solved in closed form, plus the leaves
+    /// counted in `degenerate_splits` and `depth_forced_leaves`. The
+    /// all-coincident count is `forced_leaves − degenerate_splits −
+    /// depth_forced_leaves`.
     pub forced_leaves: usize,
     /// Nodes where an *accepted* separator routed every point to one side
     /// (tolerance-counted split disagreed with strict-side routing) and
@@ -312,32 +316,19 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
     }
 
     fn leaf(&self, ids: &[u32], kind: Leaf) -> Subtree<D> {
-        let m = ids.len();
         let t0 = self.obs.start();
-        // Write each leaf list straight into the shared store through one
-        // reused scratch buffer: allocating a full n-point KnnResult here
-        // costs O(n) per leaf, which dominates the whole recursion
-        // (O(n²/base) total) once n is large. Distances come from the SoA
-        // arena's blocked kernel (bit-identical to the scalar scan).
-        let k = self.lists.k();
-        let mut scratch = Vec::with_capacity(k + 1);
-        let mut dists = Vec::with_capacity(m);
-        for &i in ids {
-            brute_list_soa_into(self.soa, i, ids, k, &mut dists, &mut scratch);
-            self.lists.set_list(i as usize, &scratch);
-        }
-        self.meter.add_distance_evals((m * m) as u64);
+        let (cost, dist_evals) = solve_leaf(self.soa, self.lists, ids, kind);
+        self.meter.add_distance_evals(dist_evals);
         self.obs.stop(Phase::LeafSolve, t0);
         Subtree {
             // Leaf offsets are relative to this call's own slice; ancestors
             // shift them as they merge child arenas.
             nodes: vec![PartitionNode::Leaf {
                 start: 0,
-                len: m as u32,
+                len: ids.len() as u32,
             }],
             bounds: vec![self.soa.aabb_of_ids(ids)],
-            // Paper base case: "compute in m time using m processors".
-            cost: CostProfile::rounds(m as u64, m as u64),
+            cost,
             stats: ParallelDcStats::leaf(kind),
         }
     }

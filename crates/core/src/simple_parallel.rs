@@ -18,7 +18,7 @@ use crate::config::KnnDcConfig;
 use crate::correction::{collect_both_sides, correct_via_query};
 use crate::dc::{partition_points, Driver, Engine, Leaf, Node, Rule};
 use crate::error::{validate_points, SepdcError};
-use crate::knn::{brute_list_soa_into, KnnResult};
+use crate::knn::{solve_leaf, KnnResult};
 use crate::parallel::knn_report;
 use crate::report::{cost_counters, stats_counters, Phase, RunRecorder, RunReport};
 use crate::seeding::punt_seed;
@@ -42,7 +42,11 @@ pub struct SimpleDcStats {
     pub max_crossing_fraction: f64,
     /// Base-case leaves.
     pub base_leaves: usize,
-    /// Nodes where no hyperplane could split (identical points).
+    /// Forced leaves of every kind: all-coincident leaves, which no cut
+    /// splits and which are solved in closed form, plus the leaves
+    /// counted in `degenerate_splits` and `depth_forced_leaves`. The
+    /// all-coincident count is `forced_leaves − degenerate_splits −
+    /// depth_forced_leaves`.
     pub forced_leaves: usize,
     /// Nodes where a median cut routed every point to one side and the
     /// recursion fell back to a brute-force leaf.
@@ -185,23 +189,9 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
 
     fn leaf(&self, ids: &[u32], kind: Leaf) -> Self::Out {
         let t0 = self.obs.start();
-        // Straight into the shared store through one reused scratch
-        // buffer; an n-point scratch KnnResult here would cost O(n) per
-        // leaf (O(n²/base) across the recursion).
-        let k = self.lists.k();
-        let mut scratch = Vec::with_capacity(k + 1);
-        let mut dists = Vec::with_capacity(ids.len());
-        for &i in ids {
-            brute_list_soa_into(self.soa, i, ids, k, &mut dists, &mut scratch);
-            self.lists.set_list(i as usize, &scratch);
-        }
+        let (cost, _) = solve_leaf(self.soa, self.lists, ids, kind);
         self.obs.stop(Phase::LeafSolve, t0);
-        let m = ids.len() as u64;
-        (
-            CostProfile::rounds(m, m),
-            SimpleDcStats::leaf(kind),
-            FilterStats::default(),
-        )
+        (cost, SimpleDcStats::leaf(kind), FilterStats::default())
     }
 
     fn route(&self, ids: &mut [u32], sep: &Separator<D>) -> Option<usize> {

@@ -1,9 +1,9 @@
 //! Edge-case coverage for degenerate inputs: `k ≥ n`, `k = n - 1`,
-//! `n ∈ {0, 1, 2}`, all-duplicate multisets, and the poisoned generators
-//! from `sepdc_workloads::degenerate`. Both divide-and-conquer algorithms
-//! are compared against the brute-force oracle; short lists must keep
-//! their radius at `INFINITY` and every result must pass
-//! `check_invariants`.
+//! `n ∈ {0, 1, 2}`, all-duplicate multisets, coincident groups larger
+//! than a leaf (solved in closed form), and the poisoned generators from
+//! `sepdc_workloads::degenerate`. Both divide-and-conquer algorithms must
+//! equal the brute-force oracle bit for bit; short lists must keep their
+//! radius at `INFINITY` and every result must pass `check_invariants`.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -15,22 +15,28 @@ use sepdc::geom::Point;
 use sepdc::workloads::{degenerate, rng, Workload};
 
 /// Run both D&C algorithms and the oracle on the same input; verify
-/// agreement, invariants, and the short-list radius contract.
-fn check_all_algorithms(pts: &[Point<2>], k: usize, seed: u64, label: &str) {
+/// byte-identical agreement, invariants, and the short-list radius
+/// contract.
+fn check_all_algorithms<const D: usize, const E: usize>(
+    pts: &[Point<D>],
+    k: usize,
+    seed: u64,
+    label: &str,
+) {
     let cfg = KnnDcConfig::new(k).with_seed(seed);
     let oracle = brute_force_knn(pts, k);
     oracle.check_invariants().unwrap();
 
-    let par = parallel_knn::<2, 3>(pts, &cfg);
+    let par = parallel_knn::<D, E>(pts, &cfg);
     par.knn
-        .same_distances(&oracle, 1e-12)
+        .identical_to(&oracle)
         .unwrap_or_else(|e| panic!("{label}: parallel vs oracle: {e}"));
     par.knn.check_invariants().unwrap();
 
-    let simple = simple_parallel_knn::<2, 3>(pts, &cfg);
+    let simple = simple_parallel_knn::<D, E>(pts, &cfg);
     simple
         .knn
-        .same_distances(&oracle, 1e-12)
+        .identical_to(&oracle)
         .unwrap_or_else(|e| panic!("{label}: simple vs oracle: {e}"));
     simple.knn.check_invariants().unwrap();
 
@@ -59,7 +65,7 @@ fn k_at_and_above_n() {
     for n in [2usize, 5, 40] {
         let pts = Workload::UniformCube.generate::<2>(n, 31);
         for k in [n - 1, n, n + 1, n + 5] {
-            check_all_algorithms(&pts, k, 7, &format!("n={n} k={k}"));
+            check_all_algorithms::<2, 3>(&pts, k, 7, &format!("n={n} k={k}"));
         }
     }
 }
@@ -78,7 +84,7 @@ fn tiny_inputs() {
     for n in [1usize, 2] {
         let pts = Workload::UniformCube.generate::<2>(n, 32);
         for k in [1usize, 2, 3] {
-            check_all_algorithms(&pts, k, 8, &format!("tiny n={n} k={k}"));
+            check_all_algorithms::<2, 3>(&pts, k, 8, &format!("tiny n={n} k={k}"));
         }
     }
 }
@@ -91,7 +97,7 @@ fn all_duplicate_inputs() {
             if k == 0 {
                 continue;
             }
-            check_all_algorithms(&pts, k, 9, &format!("coincident n={n} k={k}"));
+            check_all_algorithms::<2, 3>(&pts, k, 9, &format!("coincident n={n} k={k}"));
         }
         // All-coincident with k < n: every neighbor is at distance 0.
         let knn = brute_force_knn(&pts, 1);
@@ -101,11 +107,55 @@ fn all_duplicate_inputs() {
     }
 }
 
+/// 8,192 uniform points with every 8th replaced by `snap(j)`, `j` counting
+/// the replaced points: one coincident group of 1,024 when every `snap(j)`
+/// is equal by value.
+fn snapped_group(snap: impl Fn(usize) -> [f64; 2]) -> Vec<Point<2>> {
+    let mut pts = Workload::UniformCube.generate::<2>(8_192, 37);
+    for (j, p) in pts.iter_mut().step_by(8).enumerate() {
+        *p = Point::from(snap(j));
+    }
+    pts
+}
+
+#[test]
+fn coincident_groups_are_solved_in_closed_form() {
+    // The group outgrows every leaf, no cut splits it, and it ends as one
+    // unsplittable leaf, whose lists are written without a distance
+    // evaluation. Signed zeros are equal by value, so they form one group.
+    let zeros = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0]];
+    let inputs = [
+        ("snapped", snapped_group(|_| [0.0, 0.0])),
+        ("signed zeros", snapped_group(|j| zeros[j % 3])),
+    ];
+    const GROUP: usize = 1_024;
+    for (label, pts) in &inputs {
+        for k in [1usize, 4, 8] {
+            let label = format!("{label} k={k}");
+            check_all_algorithms::<2, 3>(pts, k, 12, &label);
+            let out = parallel_knn::<2, 3>(pts, &KnnDcConfig::new(k).with_seed(12));
+            let s = out.stats;
+            let coincident = s.forced_leaves - s.degenerate_splits - s.depth_forced_leaves;
+            assert_eq!(coincident, 1, "{label}: one all-coincident leaf");
+            assert!(out.cost.depth < GROUP as u64, "{label}: {:?}", out.cost);
+            assert!(
+                out.meter.distance_evals < (GROUP * GROUP) as u64,
+                "{label}: {} distance evaluations",
+                out.meter.distance_evals
+            );
+        }
+    }
+    let pts = degenerate::all_coincident::<3>(700, -1.25);
+    for k in [1usize, 4, 8] {
+        check_all_algorithms::<3, 4>(&pts, k, 13, &format!("coincident 3D k={k}"));
+    }
+}
+
 #[test]
 fn duplicate_bundles_match_oracle() {
     let pts = degenerate::duplicate_bundles::<2, _>(120, 5, &mut rng(33));
     for k in [1usize, 4, 6] {
-        check_all_algorithms(&pts, k, 10, &format!("bundles k={k}"));
+        check_all_algorithms::<2, 3>(&pts, k, 10, &format!("bundles k={k}"));
     }
 }
 
@@ -115,7 +165,7 @@ fn tolerance_band_cluster_terminates_and_matches() {
     // is the shape where accepted separators can disagree with strict-side
     // routing. Must terminate (degenerate-split guard) and stay correct.
     let pts = degenerate::tolerance_band_cluster::<2, _>(200, 1e-12, &mut rng(34));
-    check_all_algorithms(&pts, 2, 11, "tolerance-band");
+    check_all_algorithms::<2, 3>(&pts, 2, 11, "tolerance-band");
 }
 
 /// 20k points jittered by 1e-6: neighbor gaps are ~1e-8, so many points sit
