@@ -4,8 +4,8 @@
 //! [`QueryTree`] answers one probe in `O(log n + m₀)`; this module is for
 //! the *serving* shape of that workload — build once, answer millions of
 //! probes. A batch of probes is split into fixed-size chunks, chunks are
-//! served in parallel over the vendored `rayon::join` thread budget, and
-//! every chunk writes into one reusable output arena instead of
+//! served in parallel through `rayon::join` on the vendored work-stealing
+//! pool, and every chunk writes into one reusable output arena instead of
 //! allocating a `Vec<u32>` per probe. Results come back as a flat
 //! CSR-style [`BatchResult`] (one offsets array + one ids array) rather
 //! than a `Vec<Vec<u32>>` — a single allocation pair for the whole batch,
