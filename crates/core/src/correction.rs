@@ -14,17 +14,24 @@
 //! Both funnel candidate `(owner, point)` pairs into
 //! `SharedLists::merge_candidate`, which is order-independent, so the
 //! parallel corrections are deterministic.
+//!
+//! A node's items arrive as a `Span`: ids and points in the arena order
+//! the recursion's in-place partition left, so every scan here reads one
+//! contiguous range, and the list of the item at arena position `p` is row
+//! `p` of the shared neighbor lists.
 
+use crate::dc::Span;
 use crate::query::{QueryTree, QueryTreeConfig};
 use crate::shared::SharedLists;
 use rayon::prelude::*;
 use sepdc_geom::ball::Ball;
 use sepdc_geom::point::Point;
 use sepdc_geom::shape::Separator;
-use sepdc_geom::soa::{FilterStats, SoaPoints};
+use sepdc_geom::soa::FilterStats;
 use sepdc_scan::CostProfile;
 
-/// A crossing ball together with its owning point id.
+/// A crossing ball and its owner's arena position, which is the row of the
+/// owner's list. The ball's center is the owner's point.
 pub(crate) struct CrossingBall<const D: usize> {
     pub owner: u32,
     pub ball: Ball<D>,
@@ -34,7 +41,7 @@ pub(crate) struct CrossingBall<const D: usize> {
 /// overhead dwarfs the per-id work below it.
 const PAR_SCAN_CUTOFF: usize = 2048;
 
-/// The first correction step at a node whose items are `ids`, interior
+/// The first correction step at a node whose items are `node`, interior
 /// side first (`nl` of them): collect both sides' crossing balls and fix
 /// the owners whose subset ball is unbounded by a scan of the opposite
 /// side. Returns the left and right crossing sets and the ε-skips.
@@ -44,26 +51,25 @@ const PAR_SCAN_CUTOFF: usize = 2048;
 /// reads the shrunk radii, so the whole correction inherits the
 /// relaxation from this single site.
 pub(crate) fn collect_both_sides<const D: usize>(
-    points: &[Point<D>],
-    soa: &SoaPoints<D>,
     lists: &SharedLists,
-    ids: &[u32],
+    node: Span<'_, D>,
     nl: usize,
     sep: &Separator<D>,
     epsilon: f64,
 ) -> (Vec<CrossingBall<D>>, Vec<CrossingBall<D>>, u64) {
-    let (left, right) = ids.split_at(nl);
+    let (left, right) = node.split_at(nl);
     let scale = crate::config::eps_radius_scale(epsilon);
-    let (cross_l, unbounded_l, skips_l) = collect_crossing(points, lists, left, sep, scale);
-    let (cross_r, unbounded_r, skips_r) = collect_crossing(points, lists, right, sep, scale);
-    correct_unbounded(soa, lists, &unbounded_l, right);
-    correct_unbounded(soa, lists, &unbounded_r, left);
+    let (cross_l, unbounded_l, skips_l) = collect_crossing(lists, left, sep, scale);
+    let (cross_r, unbounded_r, skips_r) = collect_crossing(lists, right, sep, scale);
+    correct_unbounded(lists, left, &unbounded_l, right);
+    correct_unbounded(lists, right, &unbounded_r, left);
     (cross_l, cross_r, skips_l + skips_r)
 }
 
-/// Collect the crossing balls of one side. Owners with unbounded subset
-/// balls (side smaller than `k+1`, possible only after degenerate fallback
-/// cuts) are returned separately for exhaustive correction.
+/// Collect the crossing balls of one side, reading its radii and points in
+/// arena order. Owners with unbounded subset balls (a side of at most `k`
+/// points) are returned separately, as arena positions, for exhaustive
+/// correction.
 ///
 /// `eps_scale` is the ε-mode radius shrink [`crate::config::eps_radius_scale`]
 /// (`1.0` = exact). When `< 1.0` each subset ball is tested with radius
@@ -78,38 +84,45 @@ pub(crate) fn collect_both_sides<const D: usize>(
 /// chunk results are concatenated in chunk order, so the output is
 /// identical to the sequential scan regardless of thread count.
 fn collect_crossing<const D: usize>(
-    points: &[Point<D>],
     lists: &SharedLists,
-    side_ids: &[u32],
+    side: Span<'_, D>,
     sep: &Separator<D>,
     eps_scale: f64,
 ) -> (Vec<CrossingBall<D>>, Vec<u32>, u64) {
     let relaxed = eps_scale < 1.0;
-    let scan = |ids: &[u32]| {
+    // Scan the points whose first one sits at arena position `first`.
+    let scan = |first: usize, pts: &[Point<D>]| {
         let mut crossing = Vec::new();
         let mut unbounded = Vec::new();
         let mut eps_skips = 0u64;
-        for &i in ids {
-            let r_sq = lists.radius_sq(i as usize);
+        for (pos, p) in (first..).zip(pts) {
+            let r_sq = lists.radius_sq(pos);
             if !r_sq.is_finite() {
-                unbounded.push(i);
+                unbounded.push(pos as u32);
                 continue;
             }
             let r = r_sq.sqrt();
-            let ball = Ball::new(points[i as usize], r * eps_scale);
+            let ball = Ball::new(*p, r * eps_scale);
             if ball.crosses(sep) {
-                crossing.push(CrossingBall { owner: i, ball });
-            } else if relaxed && Ball::new(points[i as usize], r).crosses(sep) {
+                crossing.push(CrossingBall {
+                    owner: pos as u32,
+                    ball,
+                });
+            } else if relaxed && Ball::new(*p, r).crosses(sep) {
                 eps_skips += 1;
             }
         }
         (crossing, unbounded, eps_skips)
     };
-    if side_ids.len() < PAR_SCAN_CUTOFF {
-        return scan(side_ids);
+    if side.len() < PAR_SCAN_CUTOFF {
+        return scan(side.off, side.pts);
     }
-    let per_chunk: Vec<(Vec<CrossingBall<D>>, Vec<u32>, u64)> =
-        side_ids.par_chunks(PAR_SCAN_CUTOFF).map(scan).collect();
+    let per_chunk: Vec<(Vec<CrossingBall<D>>, Vec<u32>, u64)> = side
+        .pts
+        .par_chunks(PAR_SCAN_CUTOFF)
+        .enumerate()
+        .map(|(c, pts)| scan(side.off + c * PAR_SCAN_CUTOFF, pts))
+        .collect();
     let mut crossing = Vec::new();
     let mut unbounded = Vec::new();
     let mut eps_skips = 0u64;
@@ -122,26 +135,26 @@ fn collect_crossing<const D: usize>(
 }
 
 /// Exhaustively merge every point of `opposite` into the lists of the
-/// `unbounded` owners (and vice versa candidates are handled by the
-/// caller's other direction). Rare path; linear in
-/// `|unbounded| · |opposite|`. Owners are corrected in parallel when the
-/// pair count is large — each owner writes only its own list, and
+/// `unbounded` owners, arena positions on the side `own` (and vice versa
+/// candidates are handled by the caller's other direction). Rare path;
+/// linear in `|unbounded| · |opposite|`. Owners are corrected in parallel
+/// when the pair count is large — each owner writes only its own list, and
 /// `merge_candidate` is order-independent, so the result is deterministic.
 fn correct_unbounded<const D: usize>(
-    soa: &SoaPoints<D>,
     lists: &SharedLists,
+    own: Span<'_, D>,
     unbounded: &[u32],
-    opposite: &[u32],
+    opposite: Span<'_, D>,
 ) {
     let one = |&o: &u32| {
-        // One blocked distance sweep per owner, then a batched merge (the
-        // cached radius is loaded once per batch; `merge_candidate`
-        // re-checks under the lock, so the lists are identical to the
-        // per-candidate path).
-        let po = soa.point(o as usize);
-        let mut dists = vec![0.0; opposite.len()];
-        soa.dist_sq_gather(&po, opposite, &mut dists);
-        lists.merge_batch(o as usize, opposite, &dists, f64::INFINITY);
+        // One distance sweep over the opposite side's points, then a
+        // batched merge (the cached radius is loaded once per batch;
+        // `merge_candidate` re-checks under the lock, so the lists are
+        // identical to the per-candidate path).
+        let po = own.point(o as usize);
+        let dists: Vec<f64> = opposite.pts.iter().map(|p| po.dist_sq(p)).collect();
+        let owner = own.id(o as usize);
+        lists.merge_batch(o as usize, owner, opposite.ids, &dists, f64::INFINITY);
     };
     if unbounded.len().saturating_mul(opposite.len()) >= PAR_SCAN_CUTOFF && unbounded.len() > 1 {
         unbounded.par_iter().for_each(one);
@@ -153,20 +166,20 @@ fn correct_unbounded<const D: usize>(
 /// Query-structure correction over an explicit crossing-ball set.
 ///
 /// Builds the Section 3 structure on the crossing balls and queries it with
-/// every point of the subset; a point strictly inside a crossing ball from
-/// the *opposite* side is merged into that ball owner's list.
+/// every point of the subset, a range of the arena; a point strictly inside
+/// a crossing ball owned by another point is merged into that owner's
+/// list.
 ///
 /// Returns the work–depth cost of the build plus the query sweep, and the
 /// accumulated ε skip count of the leaf cover scans.
 pub(crate) fn correct_via_query<const D: usize, const E: usize>(
-    soa: &SoaPoints<D>,
     lists: &SharedLists,
-    subset: &[u32],
+    subset: Span<'_, D>,
     crossing: &[CrossingBall<D>],
     qcfg: QueryTreeConfig,
     seed: u64,
 ) -> (CostProfile, FilterStats) {
-    if crossing.is_empty() || subset.is_empty() {
+    if crossing.is_empty() || subset.ids.is_empty() {
         return (CostProfile::zero(), FilterStats::default());
     }
     let balls: Vec<Ball<D>> = crossing.iter().map(|c| c.ball).collect();
@@ -175,44 +188,40 @@ pub(crate) fn correct_via_query<const D: usize, const E: usize>(
 
     // Every subset point queries the structure; merges go through the
     // shared lists (order-independent). Chunks reuse one set of scratch
-    // buffers: the leaf cover test and the owner-distance evaluation both
-    // run through the blocked SoA kernels.
-    let process = |ids: &[u32]| -> FilterStats {
+    // buffers; the leaf cover test runs through the blocked SoA kernel.
+    // `first` is the arena position of `ids[0]`.
+    let process = |first: usize, ids: &[u32], pts: &[Point<D>]| -> FilterStats {
         let mut stats = FilterStats::default();
         let mut scratch: Vec<f64> = Vec::new();
         let mut hits: Vec<u32> = Vec::new();
-        let mut owners: Vec<u32> = Vec::new();
-        let mut dists: Vec<f64> = Vec::new();
-        for &p_id in ids {
-            let p = soa.point(p_id as usize);
+        for ((pos, &p_id), p) in (first..).zip(ids).zip(pts) {
             hits.clear();
-            tree.covering_into(&p, true, &mut scratch, &mut hits, &mut stats);
-            // Which side is this point on? Determined by ownership: a point
-            // corrects only balls owned by the *other* side. We recover the
-            // side from the crossing metadata at merge time instead of
-            // re-classifying against the separator (robust to surface ties).
-            owners.clear();
-            for &ball_local in &hits {
-                let o = crossing[ball_local as usize].owner;
-                if o != p_id {
-                    owners.push(o);
+            tree.covering_into(p, true, &mut scratch, &mut hits, &mut stats);
+            // A point is merged into every ball owned by another point,
+            // whatever its side: a same-side owner's solved list already
+            // holds every point strictly inside its ball, so that merge
+            // changes nothing. Ownership, not a re-classification against
+            // the separator, decides (robust to surface ties).
+            for &h in &hits {
+                let c = &crossing[h as usize];
+                if c.owner as usize != pos {
+                    // The ball's center is its owner's point.
+                    let d = p.dist_sq(&c.ball.center);
+                    let owner = subset.id(c.owner as usize);
+                    lists.merge_candidate(c.owner as usize, owner, p_id, d);
                 }
-            }
-            if owners.is_empty() {
-                continue;
-            }
-            soa.dist_sq_gather_into(&p, &owners, &mut dists);
-            for (&o, &d) in owners.iter().zip(&dists) {
-                lists.merge_candidate(o as usize, p_id, d);
             }
         }
         stats
     };
     let stats = if subset.len() >= PAR_SCAN_CUTOFF {
         subset
+            .ids
             .par_chunks(PAR_SCAN_CUTOFF)
-            .fold(FilterStats::default, |mut acc, chunk| {
-                acc.merge(&process(chunk));
+            .zip(subset.pts.par_chunks(PAR_SCAN_CUTOFF))
+            .enumerate()
+            .fold(FilterStats::default, |mut acc, (c, (ids, pts))| {
+                acc.merge(&process(subset.off + c * PAR_SCAN_CUTOFF, ids, pts));
                 acc
             })
             .reduce(FilterStats::default, |mut a, b| {
@@ -220,7 +229,7 @@ pub(crate) fn correct_via_query<const D: usize, const E: usize>(
                 a
             })
     } else {
-        process(subset)
+        process(subset.off, subset.ids, subset.pts)
     };
 
     // Build cost, then one query round of depth = tree height + leaf scan,
@@ -239,32 +248,37 @@ mod tests {
     use crate::KnnResult;
     use sepdc_geom::Hyperplane;
 
-    /// Points on a line, split at x = mid; solve sides independently, then
-    /// correct and compare against the global answer.
+    /// Points `0..n` on a line, split at x = mid, each side solved on its
+    /// own (mimicking the recursion). The arena is the id order, whose
+    /// first `nl` items are the left side, so rows are ids.
     fn line_fixture(
         n: usize,
         k: usize,
         mid: f64,
-    ) -> (Vec<Point<1>>, SharedLists, Vec<u32>, Vec<u32>, Separator<1>) {
+    ) -> (Vec<Point<1>>, Vec<u32>, usize, SharedLists, Separator<1>) {
         let points: Vec<Point<1>> = (0..n).map(|i| Point::from([i as f64])).collect();
         let sep: Separator<1> = Hyperplane::axis_aligned(0, mid).into();
-        let left: Vec<u32> = (0..n as u32).filter(|&i| (i as f64) < mid).collect();
-        let right: Vec<u32> = (0..n as u32).filter(|&i| (i as f64) > mid).collect();
+        let ids: Vec<u32> = (0..n as u32).collect();
+        let nl = ids.iter().filter(|&&i| (i as f64) < mid).count();
         let lists = SharedLists::new(n, k);
-        // Solve each side independently (mimicking recursion).
         let mut tmp = KnnResult::new(n, k);
-        solve_subset_brute(&points, &left, &mut tmp);
-        solve_subset_brute(&points, &right, &mut tmp);
+        solve_subset_brute(&points, &ids[..nl], &mut tmp);
+        solve_subset_brute(&points, &ids[nl..], &mut tmp);
         for i in 0..n {
             lists.set_list(i, tmp.neighbors(i));
         }
-        (points, lists, left, right, sep)
+        (points, ids, nl, lists, sep)
+    }
+
+    fn span<'a>(ids: &'a [u32], pts: &'a [Point<1>]) -> Span<'a, 1> {
+        Span { ids, pts, off: 0 }
     }
 
     #[test]
     fn collect_crossing_identifies_boundary_balls() {
-        let (points, lists, left, _right, sep) = line_fixture(20, 1, 9.5);
-        let (crossing, unbounded, eps_skips) = collect_crossing(&points, &lists, &left, &sep, 1.0);
+        let (points, ids, nl, lists, sep) = line_fixture(20, 1, 9.5);
+        let left = span(&ids, &points).split_at(nl).0;
+        let (crossing, unbounded, eps_skips) = collect_crossing(&lists, left, &sep, 1.0);
         assert!(unbounded.is_empty());
         assert_eq!(eps_skips, 0);
         // Only the point at x = 9 has a subset ball (radius 1) crossing
@@ -275,61 +289,55 @@ mod tests {
 
     #[test]
     fn collect_crossing_eps_shrink_drops_and_counts_marginal_balls() {
-        let (points, lists, left, _right, sep) = line_fixture(20, 1, 9.5);
+        let (points, ids, nl, lists, sep) = line_fixture(20, 1, 9.5);
+        let left = span(&ids, &points).split_at(nl).0;
         // The x = 9 ball has radius 1 and crosses x = 9.5 by exactly 0.5;
         // shrinking to radius 0.4 drops it and counts one ε skip.
-        let (crossing, unbounded, eps_skips) = collect_crossing(&points, &lists, &left, &sep, 0.4);
+        let (crossing, unbounded, eps_skips) = collect_crossing(&lists, left, &sep, 0.4);
         assert!(unbounded.is_empty());
         assert!(crossing.is_empty());
         assert_eq!(eps_skips, 1);
         // A shrink that still crosses keeps the ball and counts nothing.
-        let (crossing, _, eps_skips) = collect_crossing(&points, &lists, &left, &sep, 0.9);
+        let (crossing, _, eps_skips) = collect_crossing(&lists, left, &sep, 0.9);
         assert_eq!(crossing.len(), 1);
         assert_eq!(eps_skips, 0);
     }
 
     #[test]
     fn query_correction_fixes_boundary_lists() {
-        let (points, lists, left, right, sep) = line_fixture(20, 2, 9.5);
+        let (points, ids, nl, lists, sep) = line_fixture(20, 2, 9.5);
+        let node = span(&ids, &points);
         let mut crossing = Vec::new();
-        for ids in [&left, &right] {
-            let (c, u, _) = collect_crossing(&points, &lists, ids, &sep, 1.0);
+        let (left, right) = node.split_at(nl);
+        for side in [left, right] {
+            let (c, u, _) = collect_crossing(&lists, side, &sep, 1.0);
             assert!(u.is_empty());
             crossing.extend(c);
         }
-        let subset: Vec<u32> = (0..20).collect();
-        let soa = SoaPoints::from_points(&points);
-        let (_, stats) = correct_via_query::<1, 2>(
-            &soa,
-            &lists,
-            &subset,
-            &crossing,
-            QueryTreeConfig::default(),
-            7,
-        );
+        let (_, stats) =
+            correct_via_query::<1, 2>(&lists, node, &crossing, QueryTreeConfig::default(), 7);
         assert_eq!(stats, FilterStats::default(), "exact mode skips nothing");
-        let result = lists.into_result();
+        let result = lists.into_result(&ids);
         let oracle = crate::brute::brute_force_knn(&points, 2);
         result.same_distances(&oracle, 1e-12).unwrap();
     }
 
     #[test]
     fn unbounded_owners_are_corrected_exhaustively() {
-        // Left side has a single point: its subset ball is unbounded.
+        // The left side has a single point: its subset ball is unbounded.
         let points: Vec<Point<1>> = (0..10).map(|i| Point::from([i as f64])).collect();
+        let ids: Vec<u32> = (0..10).collect();
         let lists = SharedLists::new(10, 1);
-        let left = vec![0u32];
-        let right: Vec<u32> = (1..10).collect();
         let mut tmp = KnnResult::new(10, 1);
-        solve_subset_brute(&points, &right, &mut tmp);
+        solve_subset_brute(&points, &ids[1..], &mut tmp);
         for i in 1..10 {
             lists.set_list(i, tmp.neighbors(i));
         }
         let sep: Separator<1> = Hyperplane::axis_aligned(0, 0.5).into();
-        let (_, unbounded, _) = collect_crossing(&points, &lists, &left, &sep, 1.0);
+        let (left, right) = span(&ids, &points).split_at(1);
+        let (_, unbounded, _) = collect_crossing(&lists, left, &sep, 1.0);
         assert_eq!(unbounded, vec![0]);
-        let soa = SoaPoints::from_points(&points);
-        correct_unbounded(&soa, &lists, &unbounded, &right);
+        correct_unbounded(&lists, left, &unbounded, right);
         assert_eq!(lists.radius_sq(0), 1.0);
     }
 
@@ -337,11 +345,9 @@ mod tests {
     fn empty_crossing_is_free() {
         let points: Vec<Point<1>> = (0..4).map(|i| Point::from([i as f64])).collect();
         let lists = SharedLists::new(4, 1);
-        let soa = SoaPoints::from_points(&points);
         let (cost, stats) = correct_via_query::<1, 2>(
-            &soa,
             &lists,
-            &[0, 1, 2, 3],
+            span(&[0, 1, 2, 3], &points),
             &[],
             QueryTreeConfig::default(),
             1,

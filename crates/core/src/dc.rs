@@ -7,10 +7,20 @@
 //! ([`crate::parallel`]) all instantiate it through [`Driver::run`], which
 //! owns everything they share: the recorder's node/leaf events and the
 //! `split` ⊃ `separator-search` phase intervals, the leaf-size test, the
-//! depth guard, the centers gather, the split decision with its fallback
-//! chain, the per-node seeds and the `rayon::join`. An engine supplies
-//! three hooks ([`Engine`]): what a leaf does, how a cut routes the node's
-//! items, and how two solved children combine.
+//! depth guard, the split decision with its fallback chain, the per-node
+//! seeds and the `rayon::join`. An engine supplies its hooks ([`Engine`]):
+//! what a leaf does, how a cut routes the node's items, and how two solved
+//! children combine.
+//!
+//! # Items and positions
+//!
+//! A node's items arrive as a [`Slab`]: its ids and, for the §5 and §6
+//! engines, each id's coordinates at the same position. Those engines
+//! partition the slab in place, so the coordinates travel with the ids
+//! through every cut, a node's centers are its coordinate slice, and
+//! position `r` of a node is arena position `off + r` for the whole run.
+//! The §3 engine routes by duplicating crossing balls into fresh id lists,
+//! so its slab carries no coordinates and it gathers its centers by id.
 //!
 //! # Cut order and fallback chain
 //!
@@ -42,7 +52,6 @@
 
 use crate::config::KnnDcConfig;
 use crate::error::SepdcError;
-use crate::partition_tree::partition_in_place_par;
 use crate::report::{Phase, RunRecorder};
 use crate::seeding::child_seed;
 use crate::splitter::Splitter;
@@ -53,10 +62,10 @@ use sepdc_scan::cost::CostMeter;
 use sepdc_separator::hyperplane_cut::{halving_cut_widest, median_cut_cycling};
 use sepdc_separator::{SearchOutcome, SeparatorConfig};
 
-/// Minimum node size before the centers gather runs in parallel. The
-/// chunked collect preserves index order, so the gather is positionally
-/// identical to the serial loop.
-const GATHER_PAR_CUTOFF: usize = 1 << 14;
+/// Minimum node size before the in-place route computes its flag column in
+/// parallel. Either way the swap walk that follows is the same, so the
+/// layout does not depend on it.
+const PARTITION_PAR_CUTOFF: usize = 1 << 14;
 
 /// Under a backend, nodes of fewer items than this try the widest-axis
 /// halving cut before the backend's; larger nodes try the backend first.
@@ -118,51 +127,156 @@ pub(crate) struct Node<const D: usize> {
     pub seed: u64,
 }
 
+/// A node's items: ids, the coordinates of the in-place engines at the same
+/// positions (empty for §3), and the arena position of `ids[0]`.
+pub(crate) struct Slab<'a, const D: usize> {
+    /// The node's item ids.
+    pub ids: &'a mut [u32],
+    /// `pts[r]` is the point of `ids[r]` (§5, §6), or empty (§3).
+    pub pts: &'a mut [Point<D>],
+    /// Arena position of the slab's first item (0 for §3).
+    pub off: usize,
+}
+
+impl<const D: usize> Slab<'_, D> {
+    /// The slab read-only.
+    pub(crate) fn span(&self) -> Span<'_, D> {
+        Span {
+            ids: self.ids,
+            pts: self.pts,
+            off: self.off,
+        }
+    }
+}
+
+/// A read-only [`Slab`]: what the leaf and combine hooks read. Position
+/// `r` of a span is arena position `off + r`, which the §5 and §6 engines
+/// use as the row of the item's neighbor list.
+#[derive(Clone, Copy)]
+pub(crate) struct Span<'a, const D: usize> {
+    /// The items' ids.
+    pub ids: &'a [u32],
+    /// The items' points, position for position (empty for §3).
+    pub pts: &'a [Point<D>],
+    /// Arena position of the first item.
+    pub off: usize,
+}
+
+impl<'a, const D: usize> Span<'a, D> {
+    /// Number of items.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The first `at` items and the rest.
+    pub(crate) fn split_at(self, at: usize) -> (Self, Self) {
+        let (li, ri) = self.ids.split_at(at);
+        let (lp, rp) = self.pts.split_at(at);
+        (
+            Span {
+                ids: li,
+                pts: lp,
+                off: self.off,
+            },
+            Span {
+                ids: ri,
+                pts: rp,
+                off: self.off + at,
+            },
+        )
+    }
+
+    /// The id at arena position `pos`.
+    pub(crate) fn id(&self, pos: usize) -> u32 {
+        self.ids[pos - self.off]
+    }
+
+    /// The point at arena position `pos`.
+    pub(crate) fn point(&self, pos: usize) -> &'a Point<D> {
+        &self.pts[pos - self.off]
+    }
+}
+
+/// What routing a node's items by a cut produced.
+pub(crate) enum Routing<R> {
+    /// Both sides received items.
+    Split(R),
+    /// Every item routes to one side, and no item has moved. `rotate` marks
+    /// an in-place route where every item routes exterior: the partition's
+    /// swap walk leaves its slab rotated left by one there, and the driver
+    /// applies that rotation after the rescue has proposed on the order
+    /// the first cut saw.
+    OneSided {
+        /// Rotate the slab left by one before routing it again.
+        rotate: bool,
+    },
+}
+
 /// What a successful routing hands the two children.
-pub(crate) trait Routed {
-    /// The children's item slices.
-    fn children<'a>(&'a mut self, ids: &'a mut [u32]) -> (&'a mut [u32], &'a mut [u32]);
+pub(crate) trait Routed<const D: usize> {
+    /// The children's slabs.
+    fn children<'a>(&'a mut self, slab: &'a mut Slab<'_, D>) -> (Slab<'a, D>, Slab<'a, D>);
 }
 
 /// In-place partition (§5, §6): the interior side is the first `nl` items
-/// of the node's own slice.
-impl Routed for usize {
-    fn children<'a>(&'a mut self, ids: &'a mut [u32]) -> (&'a mut [u32], &'a mut [u32]) {
-        ids.split_at_mut(*self)
+/// of the node's own slab.
+impl<const D: usize> Routed<D> for usize {
+    fn children<'a>(&'a mut self, slab: &'a mut Slab<'_, D>) -> (Slab<'a, D>, Slab<'a, D>) {
+        let nl = *self;
+        let (li, ri) = slab.ids.split_at_mut(nl);
+        let (lp, rp) = slab.pts.split_at_mut(nl);
+        (
+            Slab {
+                ids: li,
+                pts: lp,
+                off: slab.off,
+            },
+            Slab {
+                ids: ri,
+                pts: rp,
+                off: slab.off + nl,
+            },
+        )
     }
 }
 
 /// Duplicating routing (§3): crossing balls go to both children, so each
 /// child gets a fresh id list.
-impl Routed for (Vec<u32>, Vec<u32>) {
-    fn children<'a>(&'a mut self, _ids: &'a mut [u32]) -> (&'a mut [u32], &'a mut [u32]) {
-        (&mut self.0, &mut self.1)
+impl<const D: usize> Routed<D> for (Vec<u32>, Vec<u32>) {
+    fn children<'a>(&'a mut self, _: &'a mut Slab<'_, D>) -> (Slab<'a, D>, Slab<'a, D>) {
+        let child = |ids| Slab {
+            ids,
+            pts: &mut [],
+            off: 0,
+        };
+        (child(&mut self.0), child(&mut self.1))
     }
 }
 
-/// An engine's three hooks. `E = D + 1` is the lift dimension of the
-/// backend's candidate generator.
+/// An engine's hooks. `E = D + 1` is the lift dimension of the backend's
+/// candidate generator.
 pub(crate) trait Engine<const D: usize, const E: usize>: Sync {
     /// What a successful [`Self::route`] hands the children.
-    type Routed: Routed;
+    type Routed: Routed<D>;
     /// A solved subtree.
     type Out: Send;
 
-    /// The point the split rule sees for item `id`.
-    fn center(&self, id: u32) -> Point<D>;
+    /// The centers the split rule sees for a node whose slab carries no
+    /// coordinates, gathered by id; `None` when the slab's own coordinates
+    /// are the centers.
+    fn gather(&self, ids: &[u32]) -> Option<Vec<Point<D>>>;
 
     /// Solve a node the driver does not subdivide.
-    fn leaf(&self, ids: &[u32], kind: Leaf) -> Self::Out;
+    fn leaf(&self, items: Span<'_, D>, kind: Leaf) -> Self::Out;
 
-    /// Route the node's items by `sep`; `None` when one side would receive
-    /// all of them.
-    fn route(&self, ids: &mut [u32], sep: &Separator<D>) -> Option<Self::Routed>;
+    /// Route the node's items by `sep`.
+    fn route(&self, slab: &mut Slab<'_, D>, sep: &Separator<D>) -> Routing<Self::Routed>;
 
     /// Combine the solved children of an internal node whose items are
-    /// `ids` (the children have permuted their own slices in place).
+    /// `items` (the children have permuted their own slices in place).
     fn combine(
         &self,
-        ids: &[u32],
+        items: Span<'_, D>,
         routed: Self::Routed,
         node: Node<D>,
         left: Self::Out,
@@ -232,21 +346,21 @@ impl<'a, const D: usize, const E: usize> Driver<'a, D, E> {
         }
     }
 
-    /// Solve the subtree rooted at the node holding `ids` at `depth` (0
+    /// Solve the subtree rooted at the node holding `slab` at `depth` (0
     /// for the root) with path seed `seed`. Child seeds are a pure function
     /// of the parent's (see [`crate::seeding`]), never of which thread
     /// builds which subtree.
     pub(crate) fn run<En: Engine<D, E>>(
         &self,
         en: &En,
-        ids: &mut [u32],
+        mut slab: Slab<'_, D>,
         seed: u64,
         depth: usize,
     ) -> Result<En::Out, SepdcError> {
-        let m = ids.len();
+        let m = slab.ids.len();
         self.obs.node(depth);
         if m <= self.leaf_size {
-            return Ok(self.leaf(en, ids, depth, Leaf::Base));
+            return Ok(self.leaf(en, slab.span(), depth, Leaf::Base));
         }
         if depth >= self.depth_limit {
             // Accepted δ-splits cannot reach this depth; getting here means
@@ -256,14 +370,10 @@ impl<'a, const D: usize, const E: usize> Driver<'a, D, E> {
                     limit: self.depth_limit,
                 });
             }
-            return Ok(self.leaf(en, ids, depth, Leaf::DepthCapped));
+            return Ok(self.leaf(en, slab.span(), depth, Leaf::DepthCapped));
         }
         let t_split = self.obs.start();
-        let centers: Vec<Point<D>> = if m >= GATHER_PAR_CUTOFF {
-            ids.par_iter().map(|&i| en.center(i)).collect()
-        } else {
-            ids.iter().map(|&i| en.center(i)).collect()
-        };
+        let gathered = en.gather(slab.ids);
         // The fallback chain of the module docs: the alternate source is
         // the fallback when the first has no cut, else the one rescue.
         let (first, alternate) = match self.rule {
@@ -271,42 +381,55 @@ impl<'a, const D: usize, const E: usize> Driver<'a, D, E> {
             _ => (Source::Rule, Source::Halving),
         };
         let mut attempts = 0;
-        let mut cut = self.propose(first, &centers, seed, depth, &mut attempts);
+        let centers = gathered.as_deref().unwrap_or(&*slab.pts);
+        let mut cut = self.propose(first, centers, seed, depth, &mut attempts);
         let fell_back = cut.is_none();
         if fell_back {
-            cut = self.propose(alternate, &centers, seed, depth, &mut attempts);
+            cut = self.propose(alternate, centers, seed, depth, &mut attempts);
         }
         let Some((mut sep, mut outcome)) = cut else {
             self.obs.stop(Phase::Split, t_split);
-            return Ok(self.leaf(en, ids, depth, Leaf::Unsplittable));
+            return Ok(self.leaf(en, slab.span(), depth, Leaf::Unsplittable));
         };
-        let mut routed = en.route(ids, &sep);
+        // Route by the cut; a one-sided route takes the one rescue, unless
+        // the cut already came from the alternate source.
+        let mut rescue = (!fell_back).then_some(alternate);
         let mut rescued = false;
-        if routed.is_none() && !fell_back {
-            if let Some((rsep, routcome)) =
-                self.propose(alternate, &centers, seed, depth, &mut attempts)
-            {
-                routed = en.route(ids, &rsep);
-                if routed.is_some() {
-                    (sep, outcome, rescued) = (rsep, routcome, true);
+        let routed = loop {
+            match en.route(&mut slab, &sep) {
+                Routing::Split(routed) => break Some(routed),
+                Routing::OneSided { rotate } => {
+                    // The one-sided route moved nothing, so the rescue sees
+                    // the order the first cut saw.
+                    let centers = gathered.as_deref().unwrap_or(&*slab.pts);
+                    let next = rescue
+                        .take()
+                        .and_then(|src| self.propose(src, centers, seed, depth, &mut attempts));
+                    if rotate {
+                        slab.ids.rotate_left(1);
+                        slab.pts.rotate_left(1);
+                    }
+                    let Some(cut) = next else { break None };
+                    (sep, outcome) = cut;
+                    rescued = true;
                 }
             }
-        }
+        };
         self.obs.add_candidates(depth, attempts);
         if let Some(meter) = self.meter {
             meter.add_candidates(attempts);
             meter.add_accept();
         }
-        // Nothing below this node reads the centers: free them before the
-        // children gather theirs.
-        drop(centers);
+        // Nothing below this node reads the gathered centers: free them
+        // before the children gather theirs.
+        drop(gathered);
         self.obs.stop(Phase::Split, t_split);
         let Some(mut routed) = routed else {
-            return Ok(self.leaf(en, ids, depth, Leaf::Degenerate));
+            return Ok(self.leaf(en, slab.span(), depth, Leaf::Degenerate));
         };
 
         let (lseed, rseed) = (child_seed(seed, false), child_seed(seed, true));
-        let (l, r) = routed.children(ids);
+        let (l, r) = routed.children(&mut slab);
         let (lres, rres) = if m > self.parallel_cutoff {
             rayon::join(
                 || self.run(en, l, lseed, depth + 1),
@@ -327,11 +450,17 @@ impl<'a, const D: usize, const E: usize> Driver<'a, D, E> {
             depth,
             seed,
         };
-        Ok(en.combine(ids, routed, node, left, right))
+        Ok(en.combine(slab.span(), routed, node, left, right))
     }
 
-    fn leaf<En: Engine<D, E>>(&self, en: &En, ids: &[u32], depth: usize, kind: Leaf) -> En::Out {
-        let out = en.leaf(ids, kind);
+    fn leaf<En: Engine<D, E>>(
+        &self,
+        en: &En,
+        items: Span<'_, D>,
+        depth: usize,
+        kind: Leaf,
+    ) -> En::Out {
+        let out = en.leaf(items, kind);
         self.obs.leaf(depth);
         out
     }
@@ -368,31 +497,58 @@ impl<'a, const D: usize, const E: usize> Driver<'a, D, E> {
     }
 }
 
-/// The §5/§6 routing hook: partition `ids` in place, strict interior side
-/// first. `None` when every point routes to one side.
+/// The §5/§6 routing hook: partition the slab in place, strict interior
+/// side first, each point moving with its id.
+///
+/// The flag column comes first (a parallel chunked scan on large nodes),
+/// then a two-pointer walk swaps ids, points and flags together, so
+/// `flags[lo]` always describes `ids[lo]`: the layout is the one a serial
+/// predicate-driven walk leaves. A one-sided cut moves nothing; where that
+/// walk would rotate the slab, [`Routing::OneSided`] says so.
 pub(crate) fn partition_points<const D: usize>(
-    points: &[Point<D>],
-    ids: &mut [u32],
+    slab: &mut Slab<'_, D>,
     sep: &Separator<D>,
-) -> Option<usize> {
-    let nl = partition_in_place_par(ids, |i| sep.side(&points[i as usize]).routes_interior());
-    (nl > 0 && nl < ids.len()).then_some(nl)
+) -> Routing<usize> {
+    let interior = |p: &Point<D>| sep.side(p).routes_interior();
+    let mut flags: Vec<bool> = if slab.pts.len() >= PARTITION_PAR_CUTOFF {
+        slab.pts.par_iter().map(interior).collect()
+    } else {
+        slab.pts.iter().map(interior).collect()
+    };
+    let nl = flags.iter().filter(|&&f| f).count();
+    if nl == 0 || nl == flags.len() {
+        return Routing::OneSided { rotate: nl == 0 };
+    }
+    let (mut lo, mut hi) = (0, flags.len());
+    while lo < hi {
+        if flags[lo] {
+            lo += 1;
+        } else {
+            hi -= 1;
+            slab.ids.swap(lo, hi);
+            slab.pts.swap(lo, hi);
+            flags.swap(lo, hi);
+        }
+    }
+    Routing::Split(nl)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::splitter::RandomSphere;
+    use sepdc_geom::sphere::Sphere;
     use sepdc_separator::FoundSeparator;
     use sepdc_workloads::Workload;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
-    /// Each leaf's `(kind, size)` and each split's `(outcome, rescued)`,
+    /// Each leaf's `(kind, ids)` and each split's `(outcome, rescued)`,
     /// children before parents (the root's split is last).
-    type Trace = (Vec<(Leaf, usize)>, Vec<(SearchOutcome, bool)>);
+    type Trace = (Vec<(Leaf, Vec<u32>)>, Vec<(SearchOutcome, bool)>);
 
-    /// Routes by strict side, except that it refuses the cuts `refuse`
-    /// picks out.
+    /// Routes by strict side, except that the cuts `refuse` picks out
+    /// route every point exterior.
     struct Probe {
         points: Vec<Point<2>>,
         refuse: fn(&Separator<2>) -> bool,
@@ -402,22 +558,34 @@ mod tests {
         type Routed = usize;
         type Out = Trace;
 
-        fn center(&self, id: u32) -> Point<2> {
-            self.points[id as usize]
+        fn gather(&self, _: &[u32]) -> Option<Vec<Point<2>>> {
+            None
         }
 
-        fn leaf(&self, ids: &[u32], kind: Leaf) -> Trace {
-            (vec![(kind, ids.len())], Vec::new())
-        }
-
-        fn route(&self, ids: &mut [u32], sep: &Separator<2>) -> Option<usize> {
-            if (self.refuse)(sep) {
-                return None;
+        fn leaf(&self, items: Span<'_, 2>, kind: Leaf) -> Trace {
+            for (&i, p) in items.ids.iter().zip(items.pts) {
+                assert_eq!(*p, self.points[i as usize], "a point left its id");
             }
-            partition_points(&self.points, ids, sep)
+            (vec![(kind, items.ids.to_vec())], Vec::new())
         }
 
-        fn combine(&self, _: &[u32], _: usize, node: Node<2>, mut l: Trace, r: Trace) -> Trace {
+        fn route(&self, slab: &mut Slab<'_, 2>, sep: &Separator<2>) -> Routing<usize> {
+            if (self.refuse)(sep) {
+                // Far from the unit square: every point is exterior.
+                let far = Sphere::new(Point::splat(10.0), 0.5).into();
+                return partition_points(slab, &far);
+            }
+            partition_points(slab, sep)
+        }
+
+        fn combine(
+            &self,
+            _: Span<'_, 2>,
+            _: usize,
+            node: Node<2>,
+            mut l: Trace,
+            r: Trace,
+        ) -> Trace {
             l.0.extend(r.0);
             l.1.extend(r.1);
             l.1.push((node.outcome, node.rescued));
@@ -450,6 +618,22 @@ mod tests {
         }
     }
 
+    /// [`RandomSphere`], recording the centers of every search.
+    #[derive(Default)]
+    struct Recorded(Mutex<Vec<Vec<Point<2>>>>);
+
+    impl Splitter<2, 3> for Recorded {
+        fn split(
+            &self,
+            p: &[Point<2>],
+            cfg: &SeparatorConfig,
+            seed: u64,
+        ) -> Option<FoundSeparator<2>> {
+            self.0.lock().unwrap().push(p.to_vec());
+            Splitter::<2, 3>::split(&RandomSphere, p, cfg, seed)
+        }
+    }
+
     /// Drive `n` uniform points to leaves of at most 8.
     fn run(
         n: usize,
@@ -470,13 +654,14 @@ mod tests {
             parallel_cutoff: 64,
         };
         let points = Workload::UniformCube.generate::<2>(n, 1);
-        let trace = driver.run(
-            &Probe { points, refuse },
-            &mut (0..n as u32).collect::<Vec<_>>(),
-            7,
-            0,
-        )?;
-        assert_eq!(trace.0.iter().map(|&(_, len)| len).sum::<usize>(), n);
+        let (mut ids, mut pts): (Vec<u32>, _) = ((0..n as u32).collect(), points.clone());
+        let slab = Slab {
+            ids: &mut ids,
+            pts: &mut pts,
+            off: 0,
+        };
+        let trace = driver.run(&Probe { points, refuse }, slab, 7, 0)?;
+        assert_eq!(trace.0.iter().map(|(_, ids)| ids.len()).sum::<usize>(), n);
         Ok(trace)
     }
 
@@ -494,7 +679,7 @@ mod tests {
         assert_eq!(searches, 0);
         assert!(!splits.is_empty());
         assert!(splits.iter().all(|&s| s == (SearchOutcome::Halving, false)));
-        assert!(leaves.iter().all(|&(kind, _)| kind == Leaf::Base));
+        assert!(leaves.iter().all(|(kind, _)| *kind == Leaf::Base));
     }
 
     #[test]
@@ -506,7 +691,7 @@ mod tests {
         let (root, below) = splits.split_last().unwrap();
         assert_eq!(*root, (SearchOutcome::Random, false));
         assert!(below.iter().all(|&s| s == (SearchOutcome::Halving, false)));
-        assert!(leaves.iter().all(|&(kind, _)| kind == Leaf::Base));
+        assert!(leaves.iter().all(|(kind, _)| *kind == Leaf::Base));
     }
 
     #[test]
@@ -519,9 +704,23 @@ mod tests {
             "{splits:?}"
         );
         assert!(
-            leaves.iter().all(|&(kind, _)| kind == Leaf::Base),
+            leaves.iter().all(|(kind, _)| *kind == Leaf::Base),
             "{leaves:?}"
         );
+    }
+
+    #[test]
+    fn the_rescue_proposes_on_the_order_the_first_cut_saw() {
+        // Below the cutoff the halving cut comes first. Refused, it routes
+        // every point exterior, after which the slab is rotated by one;
+        // the backend's rescue at the root must still sample the input
+        // order.
+        let backend: &'static Recorded = Box::leak(Box::default());
+        let planes = |s: &Separator<2>| matches!(s, Separator::Halfspace(_));
+        let (_, splits) = run(200, Rule::Backend(backend), planes, 64, false).unwrap();
+        assert_eq!(splits.last(), Some(&(SearchOutcome::Random, true)));
+        let seen = backend.0.lock().unwrap();
+        assert_eq!(seen[0], Workload::UniformCube.generate::<2>(200, 1));
     }
 
     #[test]
@@ -539,7 +738,7 @@ mod tests {
         assert!(splits.iter().all(|&s| s == (SearchOutcome::Halving, false)));
         assert!(leaves
             .iter()
-            .all(|&(kind, len)| kind == Leaf::Base && len <= 8));
+            .all(|(kind, ids)| *kind == Leaf::Base && ids.len() <= 8));
     }
 
     #[test]
@@ -556,16 +755,20 @@ mod tests {
         .unwrap();
         assert!(splits.iter().any(|&(_, rescued)| rescued), "{splits:?}");
         assert!(
-            leaves.iter().all(|&(kind, _)| kind == Leaf::Base),
+            leaves.iter().all(|(kind, _)| *kind == Leaf::Base),
             "{leaves:?}"
         );
     }
 
     #[test]
     fn no_progress_after_the_rescue_forces_a_leaf() {
+        // Both cuts route every point exterior, and each such route leaves
+        // the layout of the partition's swap walk: rotated left by one.
+        let mut twice: Vec<u32> = (0..200).collect();
+        twice.rotate_left(2);
         for rule in [Rule::Backend(&RandomSphere), Rule::MedianCycling] {
             let trace = run(200, rule, |_| true, 64, false).unwrap();
-            assert_eq!(trace, (vec![(Leaf::Degenerate, 200)], vec![]));
+            assert_eq!(trace, (vec![(Leaf::Degenerate, twice.clone())], vec![]));
         }
     }
 
@@ -573,7 +776,7 @@ mod tests {
     fn depth_guard_forces_leaves_or_errors_when_strict() {
         let (leaves, splits) = run(200, Rule::MedianCycling, |_| false, 1, false).unwrap();
         assert_eq!(splits.len(), 1);
-        assert!(leaves.iter().all(|&(kind, _)| kind == Leaf::DepthCapped));
+        assert!(leaves.iter().all(|(kind, _)| *kind == Leaf::DepthCapped));
         assert!(matches!(
             run(200, Rule::MedianCycling, |_| false, 1, true),
             Err(SepdcError::RecursionDepthExceeded { limit: 1 })
@@ -606,5 +809,51 @@ mod tests {
             sphere * 20 < halving,
             "sphere {sphere} vs halving {halving}"
         );
+    }
+
+    #[test]
+    fn partition_points_replays_the_serial_walk_with_the_points_in_tow() {
+        let sep: Separator<2> = Sphere::new(Point::from([0.4, 0.6]), 0.3).into();
+        for n in [100, PARTITION_PAR_CUTOFF + 77] {
+            let points = Workload::UniformCube.generate::<2>(n, 5);
+            // The predicate-driven walk over ids that the layout must match.
+            let mut want: Vec<u32> = (0..n as u32).collect();
+            let (mut lo, mut hi) = (0, n);
+            while lo < hi {
+                if sep.side(&points[want[lo] as usize]).routes_interior() {
+                    lo += 1;
+                } else {
+                    hi -= 1;
+                    want.swap(lo, hi);
+                }
+            }
+            let (mut ids, mut pts): (Vec<u32>, _) = ((0..n as u32).collect(), points.clone());
+            let mut slab = Slab {
+                ids: &mut ids,
+                pts: &mut pts,
+                off: 0,
+            };
+            assert!(matches!(partition_points(&mut slab, &sep), Routing::Split(nl) if nl == lo));
+            assert_eq!(ids, want, "n = {n}");
+            assert!(ids.iter().zip(&pts).all(|(&i, p)| *p == points[i as usize]));
+        }
+        // A one-sided cut moves nothing and flags the all-exterior case.
+        let points = Workload::UniformCube.generate::<2>(50, 6);
+        for (sphere, rotate) in [
+            (Sphere::new(Point::splat(0.5), 2.0), false),
+            (Sphere::new(Point::splat(9.0), 1.0), true),
+        ] {
+            let (mut ids, mut pts): (Vec<u32>, _) = ((0..50).collect(), points.clone());
+            let mut slab = Slab {
+                ids: &mut ids,
+                pts: &mut pts,
+                off: 0,
+            };
+            assert!(
+                matches!(partition_points(&mut slab, &sphere.into()), Routing::OneSided { rotate: r } if r == rotate)
+            );
+            assert_eq!(ids, (0..50).collect::<Vec<u32>>());
+            assert_eq!(pts, points);
+        }
     }
 }

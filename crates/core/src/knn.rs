@@ -6,10 +6,9 @@
 //! first and then *correct* them by merging candidates from the other side
 //! of a separator — [`KnnResult::merge_candidate`] is that correction step.
 
-use crate::dc::Leaf;
+use crate::dc::{Leaf, Span};
 use crate::shared::SharedLists;
 use sepdc_geom::point::Point;
-use sepdc_geom::soa::SoaPoints;
 use sepdc_scan::CostProfile;
 
 /// One neighbor: index into the input point array plus squared distance.
@@ -369,34 +368,33 @@ pub fn solve_subset_brute<const D: usize>(
     }
 }
 
-/// Solve a §5/§6 leaf: write the k-NN list of every point of `ids` within
-/// `ids` into `lists`. Returns the leaf's cost and the distances it
-/// evaluated.
+/// Solve a §5/§6 leaf: write the k-NN list of every item within the leaf
+/// into `lists`, the item at arena position `p` into row `p`. The leaf's
+/// points are contiguous (`leaf.pts`), so the solve reads and writes one
+/// range. Returns the leaf's cost and the distances it evaluated.
 ///
 /// A [`Leaf::Unsplittable`] leaf is solved in closed form. The driver makes
 /// one only when neither cut source has a cut, and the halving cut has
 /// none only when every point is equal on every axis. So each pairwise
 /// `dist_sq` is `+0.0` (signed zeros included), and under the (`dist_sq`,
-/// index) order of [`brute_list_soa_into`] a point's list is the
+/// index) order of [`brute_list_span_into`] a point's list is the
 /// `min(k, m − 1)` smallest other ids. The leaf selects the `k + 1`
 /// smallest ids once and writes every list from them: `O(m·k)` work,
 /// costed as `k + 1` min-scans over the `m` ids, and no distance
 /// evaluated, where the all-pairs scan costs `m²`. Every other leaf takes
 /// the all-pairs scan.
 pub(crate) fn solve_leaf<const D: usize>(
-    soa: &SoaPoints<D>,
     lists: &SharedLists,
-    ids: &[u32],
+    leaf: Span<'_, D>,
     kind: Leaf,
 ) -> (CostProfile, u64) {
     // Lists go straight into the shared store through one reused scratch
     // buffer: an n-point KnnResult per leaf would cost O(n) per leaf.
-    let (m, k) = (ids.len(), lists.k());
+    let (ids, m, k) = (leaf.ids, leaf.len(), lists.k());
     let mut scratch = Vec::with_capacity(k + 1);
     if kind == Leaf::Unsplittable {
         debug_assert!(
-            ids.iter()
-                .all(|&i| soa.point(i as usize) == soa.point(ids[0] as usize)),
+            leaf.pts.iter().all(|p| *p == leaf.pts[0]),
             "an unsplittable leaf holds coincident points"
         );
         // The k + 1 smallest ids, ascending: a point's list is the first k
@@ -409,7 +407,7 @@ pub(crate) fn solve_leaf<const D: usize>(
             smallest.insert(smallest.partition_point(|&s| s < j), j);
             smallest.truncate(k + 1);
         }
-        for &i in ids {
+        for (r, &i) in ids.iter().enumerate() {
             scratch.clear();
             scratch.extend(
                 smallest
@@ -418,14 +416,14 @@ pub(crate) fn solve_leaf<const D: usize>(
                     .take(k)
                     .map(|&idx| Neighbor { idx, dist_sq: 0.0 }),
             );
-            lists.set_list(i as usize, &scratch);
+            lists.set_list(leaf.off + r, &scratch);
         }
         return (CostProfile::rounds(k as u64 + 1, m as u64), 0);
     }
     let mut dists = Vec::with_capacity(m);
-    for &i in ids {
-        brute_list_soa_into(soa, i, ids, k, &mut dists, &mut scratch);
-        lists.set_list(i as usize, &scratch);
+    for r in 0..m {
+        brute_list_span_into(ids, leaf.pts, r, k, &mut dists, &mut scratch);
+        lists.set_list(leaf.off + r, &scratch);
     }
     // Paper base case: "compute in m time using m processors".
     (CostProfile::rounds(m as u64, m as u64), (m * m) as u64)
@@ -464,23 +462,26 @@ pub(crate) fn brute_list_into<const D: usize>(
     }
 }
 
-/// [`brute_list_into`] on the SoA arena: one blocked distance sweep over
-/// `ids` into `dists`, then the identical capped insertion pass. The
-/// distances are bit-for-bit the scalar kernel's and the candidate order is
-/// unchanged, so the resulting list is identical to the AoS path.
-pub(crate) fn brute_list_soa_into<const D: usize>(
-    soa: &SoaPoints<D>,
-    i: u32,
+/// [`brute_list_into`] over points stored contiguously: the list of the
+/// point at position `r` among `pts`, whose ids are `ids`. One distance
+/// sweep over the slice into `dists`, then the identical capped insertion
+/// pass. Each distance is `pts[r].dist_sq(&pts[j])`, the scalar kernel's
+/// operation sequence, so the list is the one [`brute_list_into`] builds
+/// over the same ids.
+pub(crate) fn brute_list_span_into<const D: usize>(
     ids: &[u32],
+    pts: &[Point<D>],
+    r: usize,
     k: usize,
     dists: &mut Vec<f64>,
     out: &mut Vec<Neighbor>,
 ) {
     out.clear();
-    let pi = soa.point(i as usize);
-    soa.dist_sq_gather_into(&pi, ids, dists);
-    for (&j, &d) in ids.iter().zip(dists.iter()) {
-        if i == j {
+    let pi = pts[r];
+    dists.clear();
+    dists.extend(pts.iter().map(|p| pi.dist_sq(p)));
+    for (s, (&j, &d)) in ids.iter().zip(dists.iter()).enumerate() {
+        if s == r {
             continue;
         }
         if out.len() == k {
@@ -670,14 +671,21 @@ mod tests {
         // and spread out, at k below, at and above the group size.
         let zeros = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]];
         let pts: Vec<Point<2>> = (0..40).map(|i| Point::from(zeros[i % 4])).collect();
-        let soa = SoaPoints::from_points(&pts);
         for m in [1usize, 2, 9, 40] {
             let ids: Vec<u32> = (0..m as u32).map(|j| (j * 17 + 5) % 40).rev().collect();
+            let leaf: Vec<Point<2>> = ids.iter().map(|&i| pts[i as usize]).collect();
+            let rows: Vec<u32> = (0..m as u32).collect();
             for k in [1usize, 3, 8, 39, 45] {
                 let solve = |kind| {
-                    let lists = SharedLists::new(pts.len(), k);
-                    let (cost, evals) = solve_leaf(&soa, &lists, &ids, kind);
-                    (lists.into_result(), cost, evals)
+                    // Rows are the leaf's positions.
+                    let lists = SharedLists::new(m, k);
+                    let span = Span {
+                        ids: &ids,
+                        pts: &leaf,
+                        off: 0,
+                    };
+                    let (cost, evals) = solve_leaf(&lists, span, kind);
+                    (lists.into_result(&rows), cost, evals)
                 };
                 let (closed, cost, evals) = solve(Leaf::Unsplittable);
                 let (scan, _, scan_evals) = solve(Leaf::Degenerate);
@@ -691,20 +699,22 @@ mod tests {
     }
 
     #[test]
-    fn soa_leaf_solve_matches_scalar_exactly() {
-        // Duplicates included: tie-breaking must agree bit-for-bit.
+    fn contiguous_leaf_lists_match_the_id_order_scan_exactly() {
+        // Duplicates included: tie-breaking must agree bit-for-bit. The
+        // ids are shuffled, as the in-place partition leaves them, and the
+        // contiguous scan reads their points in that order.
         let mut pts: Vec<Point<2>> = (0..37)
             .map(|i| Point::from([(i as f64 * 0.83).sin(), (i % 5) as f64]))
             .collect();
         pts.push(pts[3]);
         pts.push(pts[3]);
-        let soa = SoaPoints::from_points(&pts);
-        let ids: Vec<u32> = (0..pts.len() as u32).collect();
+        let ids: Vec<u32> = (0..pts.len() as u32).map(|j| (j * 7 + 3) % 39).collect();
+        let leaf: Vec<Point<2>> = ids.iter().map(|&i| pts[i as usize]).collect();
         let (mut a, mut b, mut dists) = (Vec::new(), Vec::new(), Vec::new());
         for k in [1usize, 3, 8] {
-            for &i in &ids {
+            for (r, &i) in ids.iter().enumerate() {
                 brute_list_into(&pts, i, &ids, k, &mut a);
-                brute_list_soa_into(&soa, i, &ids, k, &mut dists, &mut b);
+                brute_list_span_into(&ids, &leaf, r, k, &mut dists, &mut b);
                 assert_eq!(a.len(), b.len(), "i={i} k={k}");
                 for (x, y) in a.iter().zip(&b) {
                     assert_eq!(x.idx, y.idx, "i={i} k={k}");

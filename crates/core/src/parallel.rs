@@ -19,10 +19,10 @@
 
 use crate::config::KnnDcConfig;
 use crate::correction::{collect_both_sides, correct_via_query, CrossingBall};
-use crate::dc::{partition_points, Driver, Engine, Leaf, Node, Rule};
+use crate::dc::{partition_points, Driver, Engine, Leaf, Node, Routing, Rule, Slab, Span};
 use crate::error::{validate_points, SepdcError};
 use crate::knn::{solve_leaf, KnnResult};
-use crate::partition_tree::{march_arena_par, PartitionNode, PartitionTree};
+use crate::partition_tree::{march_arena_par, Hit, PartitionNode, PartitionTree};
 use crate::report::{cost_counters, meter_counters, stats_counters, Phase, RunRecorder, RunReport};
 use crate::seeding::punt_seed;
 use crate::shared::SharedLists;
@@ -31,7 +31,6 @@ use rayon::prelude::*;
 use sepdc_geom::aabb::Aabb;
 use sepdc_geom::point::Point;
 use sepdc_geom::shape::Separator;
-use sepdc_geom::soa::SoaPoints;
 use sepdc_scan::cost::{CostMeter, MeterSnapshot};
 use sepdc_scan::CostProfile;
 use sepdc_separator::SearchOutcome;
@@ -41,11 +40,10 @@ use sepdc_separator::SearchOutcome;
 const REMAP_PAR_CUTOFF: usize = 1 << 14;
 /// Chunk granularity for the parallel remap.
 const REMAP_PAR_CHUNK: usize = 1 << 12;
-/// Minimum crossing-ball count before the candidate-fix loop fans out.
-/// Per-crosser fixes are independent ([`SharedLists`] merges are
-/// order-independent and idempotent under the row lock), so the split is
-/// output-invariant.
-const FIX_PAR_MIN_CROSSERS: usize = 32;
+/// Minimum march hit count before the candidate-fix loop fans out. Hits
+/// are fixed independently ([`SharedLists`] merges are order-independent
+/// and idempotent under the row lock), so the split is output-invariant.
+const FIX_PAR_MIN_HITS: usize = 128;
 
 /// Statistics from one run of the Section 6 algorithm.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -172,12 +170,10 @@ struct Subtree<const D: usize> {
 }
 
 /// The Section 6 engine: leaf solves, in-place routing, and the
-/// fast-correction / punt combine.
+/// fast-correction / punt combine. Every hook reads its node's points from
+/// the coordinate arena the driver partitions with the ids.
 struct Ctx<'a, const D: usize> {
-    points: &'a [Point<D>],
-    /// Column-major copy of `points` — the batched distance kernels
-    /// (leaf solves, Fast-Correction candidate evaluation) read this.
-    soa: &'a SoaPoints<D>,
+    /// Row `p` is the list of the point at arena position `p`.
     lists: &'a SharedLists,
     cfg: &'a KnnDcConfig,
     meter: &'a CostMeter,
@@ -220,21 +216,26 @@ pub fn try_parallel_knn<const D: usize, const E: usize>(
     let lists = SharedLists::new(n, cfg.k);
     let meter = CostMeter::new();
     let obs = RunRecorder::new(cfg.record, cfg.resolve_depth_limit(n));
-    let soa = SoaPoints::from_points(points);
     let ctx = Ctx {
-        points,
-        soa: &soa,
         lists: &lists,
         cfg,
         meter: &meter,
         obs: &obs,
     };
     let driver = Driver::<D, E>::for_knn(cfg, n, Rule::Backend(&RandomSphere), &obs, Some(&meter));
-    // The permutation arena: the recursion partitions this buffer in
-    // place, handing each recursive call a disjoint `&mut` slice — no
-    // per-level id-set clones.
+    // The arena: ids and their points, which the recursion partitions in
+    // place together, handing each recursive call disjoint `&mut` slices
+    // of both — no per-level clones, and every node's points contiguous.
     let mut perm: Vec<u32> = (0..n as u32).collect();
-    let sub = driver.run(&ctx, &mut perm, cfg.seed, 0)?;
+    let mut pts = points.to_vec();
+    let slab = Slab {
+        ids: &mut perm,
+        pts: &mut pts,
+        off: 0,
+    };
+    let sub = driver.run(&ctx, slab, cfg.seed, 0)?;
+    drop(pts);
+    let knn = lists.into_result(&perm);
     let snapshot = meter.snapshot();
     let mut counters = sub.stats.counters();
     counters.extend(meter_counters(&snapshot));
@@ -250,7 +251,7 @@ pub fn try_parallel_knn<const D: usize, const E: usize>(
         counters.push((format!("correction.{name}"), v as f64));
     }
     Ok(ParallelDcOutput {
-        knn: lists.into_result(),
+        knn,
         cost: sub.cost,
         stats: sub.stats,
         meter: snapshot,
@@ -311,13 +312,13 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
     type Routed = usize;
     type Out = Subtree<D>;
 
-    fn center(&self, id: u32) -> Point<D> {
-        self.points[id as usize]
+    fn gather(&self, _: &[u32]) -> Option<Vec<Point<D>>> {
+        None
     }
 
-    fn leaf(&self, ids: &[u32], kind: Leaf) -> Subtree<D> {
+    fn leaf(&self, items: Span<'_, D>, kind: Leaf) -> Subtree<D> {
         let t0 = self.obs.start();
-        let (cost, dist_evals) = solve_leaf(self.soa, self.lists, ids, kind);
+        let (cost, dist_evals) = solve_leaf(self.lists, items, kind);
         self.meter.add_distance_evals(dist_evals);
         self.obs.stop(Phase::LeafSolve, t0);
         Subtree {
@@ -325,27 +326,27 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
             // shift them as they merge child arenas.
             nodes: vec![PartitionNode::Leaf {
                 start: 0,
-                len: ids.len() as u32,
+                len: items.len() as u32,
             }],
-            bounds: vec![self.soa.aabb_of_ids(ids)],
+            bounds: vec![Aabb::of_points(items.pts)],
             cost,
             stats: ParallelDcStats::leaf(kind),
         }
     }
 
-    fn route(&self, ids: &mut [u32], sep: &Separator<D>) -> Option<usize> {
-        partition_points(self.points, ids, sep)
+    fn route(&self, slab: &mut Slab<'_, D>, sep: &Separator<D>) -> Routing<usize> {
+        partition_points(slab, sep)
     }
 
     fn combine(
         &self,
-        ids: &[u32],
+        items: Span<'_, D>,
         nl: usize,
         node: Node<D>,
         left: Subtree<D>,
         right: Subtree<D>,
     ) -> Subtree<D> {
-        let (m, depth, sep) = (ids.len(), node.depth, node.sep);
+        let (m, depth, sep) = (items.len(), node.depth, node.sep);
         // Merge the child arenas into one postorder node vec: the right
         // child's node indices shift by the left arena's length, and its
         // leaf ranges (relative to the right slice) shift by `nl` to become
@@ -378,18 +379,10 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
         let r_root = nodes.len() as u32 - 1;
 
         // ---- Correction (the paper's `Correction` procedure) ----
-        // The child calls permuted their halves but the id *sets* are
+        // The child calls permuted their halves but the item *sets* are
         // unchanged, so the two halves are exactly the left/right subsets.
         let (cross_l, cross_r, eps_skips) = self.obs.time(Phase::CollectCrossing, || {
-            collect_both_sides(
-                self.points,
-                self.soa,
-                self.lists,
-                ids,
-                nl,
-                &sep,
-                self.cfg.epsilon,
-            )
+            collect_both_sides(self.lists, items, nl, &sep, self.cfg.epsilon)
         });
         self.meter.add_eps_skips(eps_skips);
 
@@ -409,14 +402,14 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
         let qseed = punt_seed(node.seed);
         // Fast Correction unless the separator was unlucky: march each
         // side's crossers down the opposite subtree (already merged into
-        // `nodes`, leaf ranges indexing this call's id slice). `None`: too
+        // `nodes`, leaf ranges indexing this call's slices). `None`: too
         // many crossers to try; `Some(None)`: the march exploded (Lemma
         // 6.2's low-probability event).
         let marched = ((crossing_total as f64) < threshold).then(|| {
             let limit = self.cfg.marching_limit(m);
             self.obs.time(Phase::FastCorrection, || {
                 try_fast_correction(
-                    self, &cross_l, &cross_r, &nodes, &bounds, l_root, r_root, ids, limit,
+                    self, &cross_l, &cross_r, &nodes, &bounds, l_root, r_root, items, limit,
                 )
             })
         });
@@ -448,14 +441,8 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
                 // The punt tree's ε stays `cfg.query.epsilon` (0 by
                 // default): it is built over already-shrunk balls, so a
                 // second relaxation would double-count ε.
-                let (cost, fstats) = correct_via_query::<D, E>(
-                    self.soa,
-                    self.lists,
-                    ids,
-                    &crossing,
-                    self.cfg.query,
-                    qseed,
-                );
+                let (cost, fstats) =
+                    correct_via_query::<D, E>(self.lists, items, &crossing, self.cfg.query, qseed);
                 self.meter.add_eps_skips(fstats.eps_skips);
                 cost
             })
@@ -484,8 +471,8 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
 /// `None` when either march exceeds `limit` (caller punts).
 ///
 /// `nodes` is the merged child arena (left subtree rooted at `l_root`,
-/// right at `r_root`) and `perm` the current call's id slice that the leaf
-/// ranges index into.
+/// right at `r_root`) and `items` the current call's slices, which the
+/// leaf ranges index into.
 #[allow(clippy::too_many_arguments)]
 fn try_fast_correction<const D: usize>(
     ctx: &Ctx<'_, D>,
@@ -495,7 +482,7 @@ fn try_fast_correction<const D: usize>(
     bounds: &[Aabb<D>],
     l_root: u32,
     r_root: u32,
-    perm: &[u32],
+    items: Span<'_, D>,
     limit: usize,
 ) -> Option<(u64, f64)> {
     let mut work = 0u64;
@@ -513,7 +500,7 @@ fn try_fast_correction<const D: usize>(
         // balls and recombines per-level counts exactly, so steps, prune
         // counts, the active-level high-water mark, and the abort decision
         // all match the monolithic march bit for bit.
-        let out = march_arena_par(nodes, opposite_root, perm, &balls, limit, Some(bounds));
+        let out = march_arena_par(nodes, opposite_root, &balls, limit, Some(bounds));
         ctx.meter.add_marching(out.total_steps);
         ctx.meter.add_march_pruned(out.pruned);
         if out.aborted {
@@ -521,20 +508,22 @@ fn try_fast_correction<const D: usize>(
         }
         work += out.total_steps;
         max_ratio = max_ratio.max(out.max_active_per_level as f64 / limit_f);
-        // Candidate fix: one blocked distance sweep per crosser, then a
-        // batched merge (radius loaded once per batch; `merge_candidate`
-        // re-checks under the row lock, so lists are unchanged). Keep the
-        // k closest (merge handles it). Each crosser touches only its own
-        // owner's row and the shared-store merge is order-independent, so
-        // the fix loop fans out across the pool when the crossing set is
-        // large; meter totals are added once per side either way.
-        let evals = if crossers.len() >= FIX_PAR_MIN_CROSSERS && rayon::current_num_threads() > 1 {
-            (0..crossers.len())
-                .into_par_iter()
+        // Candidate fix: one distance sweep over each hit leaf's
+        // contiguous points, then a batched merge into the crosser's row
+        // (radius loaded once per batch; `merge_candidate` re-checks under
+        // the row lock, so lists are unchanged). Keep the k closest (merge
+        // handles it). Each hit touches only its owner's row and the
+        // shared-store merge is order-independent, so the fix loop fans out
+        // across the pool when there are many hits; meter totals are added
+        // once per side either way.
+        let fix = |h: &Hit, dists: &mut Vec<f64>| fix_hit(ctx, crossers, items, h, dists);
+        let evals = if out.hits.len() >= FIX_PAR_MIN_HITS && rayon::current_num_threads() > 1 {
+            out.hits
+                .par_iter()
                 .fold(
                     || (Vec::new(), 0u64),
-                    |(mut dists, evals), ci| {
-                        let e = fix_crosser(ctx, &crossers[ci], &out.candidates[ci], &mut dists);
+                    |(mut dists, evals), h| {
+                        let e = fix(h, &mut dists);
                         (dists, evals + e)
                     },
                 )
@@ -542,11 +531,7 @@ fn try_fast_correction<const D: usize>(
                 .1
         } else {
             let mut dists = Vec::new();
-            crossers
-                .iter()
-                .zip(&out.candidates)
-                .map(|(c, cands)| fix_crosser(ctx, c, cands, &mut dists))
-                .sum()
+            out.hits.iter().map(|h| fix(h, &mut dists)).sum()
         };
         work += evals;
         ctx.meter.add_distance_evals(evals);
@@ -555,27 +540,33 @@ fn try_fast_correction<const D: usize>(
     Some((work, max_ratio))
 }
 
-/// Fix one crossing ball against its marched candidate set; returns the
-/// number of distance evaluations spent (one per candidate). `dists` is a
-/// reusable distance buffer.
-fn fix_crosser<const D: usize>(
+/// Fix a crossing ball against one leaf its march reached: the leaf's
+/// points are `items.pts[start..start + len]`. Returns the number of
+/// distance evaluations spent (one per leaf point). `dists` is a reusable
+/// distance buffer.
+fn fix_hit<const D: usize>(
     ctx: &Ctx<'_, D>,
-    c: &CrossingBall<D>,
-    cands: &[u32],
+    crossers: &[CrossingBall<D>],
+    items: Span<'_, D>,
+    h: &Hit,
     dists: &mut Vec<f64>,
 ) -> u64 {
-    #[cfg(debug_assertions)]
-    for &q in cands {
-        debug_assert_ne!(q, c.owner, "opposite subtree cannot contain the owner");
-    }
-    if cands.is_empty() {
-        return 0;
-    }
-    let owner_pt = ctx.points[c.owner as usize];
+    let c = &crossers[h.ball as usize];
+    let range = h.start as usize..(h.start + h.len) as usize;
+    let (cands, pts) = (&items.ids[range.clone()], &items.pts[range]);
+    let owner = items.id(c.owner as usize);
+    debug_assert!(
+        !cands.contains(&owner),
+        "opposite subtree cannot contain the owner"
+    );
     let r_sq = c.ball.radius * c.ball.radius;
-    ctx.soa.dist_sq_gather_into(&owner_pt, cands, dists);
-    ctx.lists.merge_batch(c.owner as usize, cands, dists, r_sq);
-    cands.len() as u64
+    // The ball's center is the owner's point, the minuend of every
+    // distance kernel.
+    dists.clear();
+    dists.extend(pts.iter().map(|p| c.ball.center.dist_sq(p)));
+    ctx.lists
+        .merge_batch(c.owner as usize, owner, cands, dists, r_sq);
+    h.len as u64
 }
 
 #[cfg(test)]

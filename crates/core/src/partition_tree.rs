@@ -181,56 +181,6 @@ impl<const D: usize> PartitionTree<D> {
     }
 }
 
-/// Partition `ids` in place so every id satisfying `pred` precedes every id
-/// that does not; returns the boundary. Unstable (order within each side is
-/// permuted) and allocation-free — this is how the recursion carves its
-/// id slice into the two child slices.
-pub(crate) fn partition_in_place(ids: &mut [u32], mut pred: impl FnMut(u32) -> bool) -> usize {
-    let mut lo = 0usize;
-    let mut hi = ids.len();
-    while lo < hi {
-        if pred(ids[lo]) {
-            lo += 1;
-        } else {
-            hi -= 1;
-            ids.swap(lo, hi);
-        }
-    }
-    lo
-}
-
-/// Slice length above which [`partition_in_place_par`] precomputes the
-/// predicate column in parallel. Gated on size only — never on the pool —
-/// but either path produces the identical layout anyway (the swap walk is
-/// a pure function of the predicate column).
-const PARTITION_PAR_CUTOFF: usize = 1 << 14;
-
-/// [`partition_in_place`] with the predicate evaluated as a parallel
-/// chunked scan first. The expensive part of a partition step is the `m`
-/// geometry tests, not the `O(m)` pointer walk; precomputing the flag
-/// column moves those tests onto the pool while the subsequent two-pointer
-/// swap — which carries ids and flags together so `flags[lo]` always
-/// describes `ids[lo]` — replays exactly the comparisons the serial
-/// predicate-driven walk would make. Byte-identical final layout.
-pub(crate) fn partition_in_place_par(ids: &mut [u32], pred: impl Fn(u32) -> bool + Sync) -> usize {
-    if ids.len() < PARTITION_PAR_CUTOFF {
-        return partition_in_place(ids, pred);
-    }
-    let mut flags: Vec<bool> = ids.par_iter().map(|&i| pred(i)).collect();
-    let mut lo = 0usize;
-    let mut hi = ids.len();
-    while lo < hi {
-        if flags[lo] {
-            lo += 1;
-        } else {
-            hi -= 1;
-            ids.swap(lo, hi);
-            flags.swap(lo, hi);
-        }
-    }
-    lo
-}
-
 /// Result of marching a batch of balls down a partition tree.
 #[derive(Clone, Debug)]
 pub struct MarchOutcome {
@@ -262,14 +212,16 @@ pub fn march_balls<const D: usize>(
     balls: &[Ball<D>],
     active_limit: usize,
 ) -> MarchOutcome {
+    let bounds = tree.bounds.as_deref();
     march_arena(
         &tree.nodes,
         tree.root(),
-        &tree.perm,
         balls,
         active_limit,
-        tree.bounds.as_deref(),
+        bounds,
+        balls.len(),
     )
+    .expand(&tree.perm, balls.len())
 }
 
 /// [`march_balls`] with AABB pruning disabled even when the tree carries
@@ -286,121 +238,85 @@ pub fn march_balls_unpruned<const D: usize>(
     march_arena(
         &tree.nodes,
         tree.root(),
-        &tree.perm,
         balls,
         active_limit,
         None,
+        balls.len(),
     )
+    .expand(&tree.perm, balls.len())
 }
 
-/// March over raw arena parts, starting from `root`. Lets the recursion
-/// march a *subtree* of a not-yet-assembled tree (leaf ranges index into
-/// `perm`, which for a subtree is that recursive call's id slice).
-pub(crate) fn march_arena<const D: usize>(
-    nodes: &[PartitionNode<D>],
-    root: u32,
-    perm: &[u32],
-    balls: &[Ball<D>],
-    active_limit: usize,
-    bounds: Option<&[Aabb<D>]>,
-) -> MarchOutcome {
-    let mut candidates: Vec<Vec<u32>> = vec![Vec::new(); balls.len()];
-    let mut frontier: Vec<(u32, u32)> = (0..balls.len()).map(|b| (root, b as u32)).collect();
-    let mut levels = 0usize;
-    let mut max_active = frontier.len();
-    let mut total_steps = 0u64;
-    let mut pruned = 0u64;
-    let mut next: Vec<(u32, u32)> = Vec::new();
+/// One reachable leaf of a marched ball: the ball's index in its batch and
+/// the leaf's `start..start + len` range of the arena.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Hit {
+    pub ball: u32,
+    pub start: u32,
+    pub len: u32,
+}
 
-    while !frontier.is_empty() {
-        if frontier.len() > active_limit {
-            return MarchOutcome {
-                candidates,
-                max_active_per_level: frontier.len(),
-                levels,
-                total_steps,
-                pruned,
-                aborted: true,
-            };
+/// A march reported as leaf hits: what Fast Correction reads, since a
+/// leaf's points and ids are contiguous ranges of the arena. The fields
+/// other than `hits` are [`MarchOutcome`]'s.
+pub(crate) struct March {
+    /// Every reachable (ball, leaf) pair, each ball's in the order its
+    /// march reaches them. Empty when `aborted`.
+    pub hits: Vec<Hit>,
+    pub max_active_per_level: usize,
+    pub levels: usize,
+    pub total_steps: u64,
+    pub pruned: u64,
+    pub aborted: bool,
+}
+
+impl March {
+    /// The [`MarchOutcome`] of these hits: each ball's leaf ranges of
+    /// `perm`, concatenated.
+    fn expand(self, perm: &[u32], balls: usize) -> MarchOutcome {
+        let mut candidates = vec![Vec::new(); balls];
+        for h in &self.hits {
+            let range = h.start as usize..(h.start + h.len) as usize;
+            candidates[h.ball as usize].extend_from_slice(&perm[range]);
         }
-        max_active = max_active.max(frontier.len());
-        total_steps += frontier.len() as u64;
-        next.clear();
-        next.reserve(frontier.len() * 2);
-        for &(node, b) in &frontier {
-            let ball = &balls[b as usize];
-            match &nodes[node as usize] {
-                PartitionNode::Leaf { start, len } => {
-                    candidates[b as usize]
-                        .extend_from_slice(&perm[*start as usize..(*start + *len) as usize]);
-                }
-                PartitionNode::Internal {
-                    sep, left, right, ..
-                } => {
-                    // Ball-vs-box rejection: a child whose subtree box the
-                    // ball misses cannot contain an in-ball point, so
-                    // skipping it never loses a candidate that could pass
-                    // the strict `d < r^2` merge test downstream. Sound for
-                    // empty boxes too (distance +inf => always pruned, and
-                    // an empty subtree has no candidates).
-                    for (reaches, child) in [
-                        (ball.touches_interior_of(sep), *left),
-                        (ball.touches_exterior_of(sep), *right),
-                    ] {
-                        if !reaches {
-                            continue;
-                        }
-                        if let Some(bs) = bounds {
-                            if !bs[child as usize].intersects_ball(ball) {
-                                pruned += 1;
-                                continue;
-                            }
-                        }
-                        next.push((child, b));
-                    }
-                }
-            }
+        MarchOutcome {
+            candidates,
+            max_active_per_level: self.max_active_per_level,
+            levels: self.levels,
+            total_steps: self.total_steps,
+            pruned: self.pruned,
+            aborted: self.aborted,
         }
-        std::mem::swap(&mut frontier, &mut next);
-        levels += 1;
-    }
-    MarchOutcome {
-        candidates,
-        max_active_per_level: max_active,
-        levels,
-        total_steps,
-        pruned,
-        aborted: false,
     }
 }
 
-/// One chunk's share of a parallel march: loop-top frontier sizes per
-/// level (the aborting level's size included when `aborted`), pruned
-/// subtrees per *expanded* level, and the chunk's candidate lists.
+/// One chunk's share of a march: loop-top frontier sizes per level (the
+/// aborting level's size included when `aborted`), pruned subtrees per
+/// *expanded* level, and the chunk's hits.
 struct MarchChunkOutcome {
-    candidates: Vec<Vec<u32>>,
+    hits: Vec<Hit>,
     actives: Vec<u64>,
     pruned: Vec<u64>,
     aborted: bool,
 }
 
-/// March one contiguous chunk of balls, recording per-level accounting so
-/// the combiner can reconstruct the monolithic march's numbers exactly.
+/// March one contiguous chunk of balls, whose first is ball `first` of the
+/// batch, level-synchronously from `root`, recording per-level accounting
+/// so [`march_arena`] can reconstruct the whole batch's numbers exactly.
 /// Each ball's BFS depends only on that ball, so a level-`l` frontier of
 /// the whole batch is the disjoint union of the chunks' level-`l`
-/// frontiers — per-level sums over chunks *are* the monolithic counts.
-/// The chunk still aborts at the full `active_limit` (its frontier is a
-/// subset of the combined one, so exceeding it proves a combined abort)
-/// to bound speculative work on punting nodes.
+/// frontiers — per-level sums over chunks *are* the batch's counts. The
+/// chunk still aborts at the full `active_limit` (its frontier is a subset
+/// of the combined one, so exceeding it proves a combined abort) to bound
+/// speculative work on punting nodes.
 fn march_chunk<const D: usize>(
     nodes: &[PartitionNode<D>],
     root: u32,
-    perm: &[u32],
     balls: &[Ball<D>],
+    first: u32,
     active_limit: usize,
     bounds: Option<&[Aabb<D>]>,
 ) -> MarchChunkOutcome {
-    let mut candidates: Vec<Vec<u32>> = vec![Vec::new(); balls.len()];
+    let mut hits = Vec::new();
     let mut frontier: Vec<(u32, u32)> = (0..balls.len()).map(|b| (root, b as u32)).collect();
     let mut actives: Vec<u64> = Vec::new();
     let mut pruned: Vec<u64> = Vec::new();
@@ -418,17 +334,27 @@ fn march_chunk<const D: usize>(
         next.reserve(frontier.len() * 2);
         for &(node, b) in &frontier {
             let ball = &balls[b as usize];
-            match &nodes[node as usize] {
-                PartitionNode::Leaf { start, len } => {
-                    candidates[b as usize]
-                        .extend_from_slice(&perm[*start as usize..(*start + *len) as usize]);
-                }
+            match nodes[node as usize] {
+                PartitionNode::Leaf { start, len } => hits.push(Hit {
+                    ball: first + b,
+                    start,
+                    len,
+                }),
                 PartitionNode::Internal {
-                    sep, left, right, ..
+                    ref sep,
+                    left,
+                    right,
+                    ..
                 } => {
+                    // Ball-vs-box rejection: a child whose subtree box the
+                    // ball misses cannot contain an in-ball point, so
+                    // skipping it never loses a candidate that could pass
+                    // the strict `d < r^2` merge test downstream. Sound for
+                    // empty boxes too (distance +inf => always pruned, and
+                    // an empty subtree has no candidates).
                     for (reaches, child) in [
-                        (ball.touches_interior_of(sep), *left),
-                        (ball.touches_exterior_of(sep), *right),
+                        (ball.touches_interior_of(sep), left),
+                        (ball.touches_exterior_of(sep), right),
                     ] {
                         if !reaches {
                             continue;
@@ -448,34 +374,37 @@ fn march_chunk<const D: usize>(
         std::mem::swap(&mut frontier, &mut next);
     }
     MarchChunkOutcome {
-        candidates,
+        hits,
         actives,
         pruned,
         aborted,
     }
 }
 
-/// [`march_arena`] split into fixed chunks marched independently, with the
-/// per-level accounting recombined into the exact monolithic numbers:
-/// the combined march aborts at the first level whose *summed* frontier
-/// exceeds `active_limit`, `total_steps`/`pruned` count only levels
-/// strictly before it, and on success every field matches [`march_arena`]
-/// for any `chunk_size` (pinned by tests). On abort the candidate lists
-/// are empty placeholders — `MarchOutcome::candidates` is documented
-/// meaningless when `aborted`.
-pub(crate) fn march_arena_chunked<const D: usize>(
+/// March `balls` down the subtree of the arena `nodes` rooted at `root`,
+/// level-synchronously, in chunks of `chunk_size` balls marched
+/// independently (on the pool when there is more than one). The chunks'
+/// per-level accounting recombines into one batch march's exact numbers:
+/// the march aborts at the first level whose *summed* frontier exceeds
+/// `active_limit`, `total_steps`/`pruned` count only levels strictly
+/// before it, and on success every field, and each ball's hits in order,
+/// is the same for any `chunk_size` (pinned by tests).
+///
+/// The subtree need not be assembled into a [`PartitionTree`]: the §6
+/// recursion marches a node's child arena, whose leaf ranges index that
+/// node's own slice of the arena.
+pub(crate) fn march_arena<const D: usize>(
     nodes: &[PartitionNode<D>],
     root: u32,
-    perm: &[u32],
     balls: &[Ball<D>],
     active_limit: usize,
     bounds: Option<&[Aabb<D>]>,
     chunk_size: usize,
-) -> MarchOutcome {
+) -> March {
     if balls.len() > active_limit {
-        // Level-0 abort: the monolithic loop bails before expanding.
-        return MarchOutcome {
-            candidates: vec![Vec::new(); balls.len()],
+        // Level-0 abort: nothing is expanded.
+        return March {
+            hits: Vec::new(),
             max_active_per_level: balls.len(),
             levels: 0,
             total_steps: 0,
@@ -483,10 +412,19 @@ pub(crate) fn march_arena_chunked<const D: usize>(
             aborted: true,
         };
     }
-    let chunks: Vec<MarchChunkOutcome> = balls
-        .par_chunks(chunk_size.max(1))
-        .map(|c| march_chunk(nodes, root, perm, c, active_limit, bounds))
-        .collect();
+    let chunk_size = chunk_size.max(1);
+    let chunks: Vec<MarchChunkOutcome> = if balls.len() <= chunk_size {
+        vec![march_chunk(nodes, root, balls, 0, active_limit, bounds)]
+    } else {
+        balls
+            .par_chunks(chunk_size)
+            .enumerate()
+            .map(|(c, part)| {
+                let first = (c * chunk_size) as u32;
+                march_chunk(nodes, root, part, first, active_limit, bounds)
+            })
+            .collect()
+    };
     let max_levels = chunks.iter().map(|c| c.actives.len()).max().unwrap_or(0);
     let mut sum_act = vec![0u64; max_levels];
     let mut sum_pruned = vec![0u64; max_levels];
@@ -499,8 +437,8 @@ pub(crate) fn march_arena_chunked<const D: usize>(
         }
     }
     if let Some(l) = sum_act.iter().position(|&a| a > active_limit as u64) {
-        return MarchOutcome {
-            candidates: vec![Vec::new(); balls.len()],
+        return March {
+            hits: Vec::new(),
             max_active_per_level: sum_act[l] as usize,
             levels: l,
             total_steps: sum_act[..l].iter().sum(),
@@ -511,12 +449,12 @@ pub(crate) fn march_arena_chunked<const D: usize>(
     // A chunk abort implies its own level sum already exceeded the limit,
     // which the combined scan above would have caught.
     debug_assert!(chunks.iter().all(|c| !c.aborted));
-    let mut candidates = Vec::with_capacity(balls.len());
+    let mut hits = Vec::with_capacity(chunks.iter().map(|c| c.hits.len()).sum());
     for c in chunks {
-        candidates.extend(c.candidates);
+        hits.extend(c.hits);
     }
-    MarchOutcome {
-        candidates,
+    March {
+        hits,
         max_active_per_level: sum_act.iter().copied().max().unwrap_or(0) as usize,
         levels: max_levels,
         total_steps: sum_act.iter().sum(),
@@ -525,33 +463,31 @@ pub(crate) fn march_arena_chunked<const D: usize>(
     }
 }
 
-/// Ball count below which a parallel march costs more to fork than to run.
-/// Ball-count floor below which the march is always run serially: the
+/// Ball-count floor below which the march is always one chunk: the
 /// chunked driver's per-chunk frontier allocations cost more than the
 /// march itself on tiny crossing sets.
 const MARCH_PAR_MIN_BALLS: usize = 64;
 
-/// Thread-count-oblivious march driver: serial [`march_arena`] on small
-/// batches or a one-worker pool, chunked parallel otherwise. Legal to gate
-/// on the pool size because both paths return identical accounting and
-/// (when not aborted) identical candidates — the chunk partition never
-/// leaks into the output.
+/// Thread-count-oblivious march driver: one chunk on small batches or a
+/// one-worker pool, ~4 chunks per worker otherwise. Legal to gate on the
+/// pool size because [`march_arena`]'s output does not depend on the
+/// chunking.
 pub(crate) fn march_arena_par<const D: usize>(
     nodes: &[PartitionNode<D>],
     root: u32,
-    perm: &[u32],
     balls: &[Ball<D>],
     active_limit: usize,
     bounds: Option<&[Aabb<D>]>,
-) -> MarchOutcome {
+) -> March {
     let threads = rayon::current_num_threads();
-    if balls.len() < MARCH_PAR_MIN_BALLS || threads <= 1 {
-        return march_arena(nodes, root, perm, balls, active_limit, bounds);
-    }
-    // ~4 chunks per worker for load balance, floored so degenerate splits
-    // never schedule per-ball tasks.
-    let chunk = balls.len().div_ceil(4 * threads).max(8);
-    march_arena_chunked(nodes, root, perm, balls, active_limit, bounds, chunk)
+    let chunk = if balls.len() < MARCH_PAR_MIN_BALLS || threads <= 1 {
+        balls.len()
+    } else {
+        // ~4 chunks per worker for load balance, floored so degenerate
+        // splits never schedule per-ball tasks.
+        balls.len().div_ceil(4 * threads).max(8)
+    };
+    march_arena(nodes, root, balls, active_limit, bounds, chunk)
 }
 
 #[cfg(test)]
@@ -803,6 +739,18 @@ mod tests {
             .collect()
     }
 
+    /// [`march_arena`] over the whole of `t` in chunks of `chunk` balls.
+    fn chunked(
+        t: &PartitionTree<1>,
+        balls: &[Ball<1>],
+        limit: usize,
+        bounds: bool,
+        chunk: usize,
+    ) -> MarchOutcome {
+        let bounds = t.bounds.as_deref().filter(|_| bounds);
+        march_arena(&t.nodes, t.root(), balls, limit, bounds, chunk).expand(&t.perm, balls.len())
+    }
+
     #[test]
     fn chunked_march_matches_monolithic_on_success() {
         for (t, label) in [(line_tree(), "plain"), (line_tree_with_bounds(), "boxed")] {
@@ -810,15 +758,7 @@ mod tests {
             let serial = march_balls(&t, &balls, 1000);
             assert!(!serial.aborted);
             for chunk in [1usize, 3, 7, 16, 40, 100] {
-                let par = march_arena_chunked(
-                    &t.nodes,
-                    t.root(),
-                    &t.perm,
-                    &balls,
-                    1000,
-                    t.bounds.as_deref(),
-                    chunk,
-                );
+                let par = chunked(&t, &balls, 1000, true, chunk);
                 assert!(!par.aborted, "{label} chunk {chunk}");
                 assert_eq!(par.candidates, serial.candidates, "{label} chunk {chunk}");
                 assert_eq!(
@@ -845,7 +785,7 @@ mod tests {
         let serial = march_balls(&t, &balls, 60);
         assert!(serial.aborted);
         for chunk in [1usize, 4, 13, 50] {
-            let par = march_arena_chunked(&t.nodes, t.root(), &t.perm, &balls, 60, None, chunk);
+            let par = chunked(&t, &balls, 60, false, chunk);
             assert!(par.aborted, "chunk {chunk}");
             assert_eq!(
                 par.max_active_per_level, serial.max_active_per_level,
@@ -856,31 +796,11 @@ mod tests {
             assert_eq!(par.pruned, serial.pruned, "chunk {chunk}");
         }
         // Level-0 abort: more balls than the limit allows before any step.
-        let par0 = march_arena_chunked(&t.nodes, t.root(), &t.perm, &balls, 10, None, 7);
+        let par0 = chunked(&t, &balls, 10, false, 7);
         let ser0 = march_balls(&t, &balls, 10);
         assert!(par0.aborted && ser0.aborted);
         assert_eq!(par0.total_steps, ser0.total_steps);
         assert_eq!(par0.max_active_per_level, ser0.max_active_per_level);
         assert_eq!(par0.levels, ser0.levels);
-    }
-
-    #[test]
-    fn partition_in_place_par_matches_serial_layout() {
-        let n = (super::PARTITION_PAR_CUTOFF + 77) as u32;
-        let pred = |i: u32| !i.wrapping_mul(0x9E3779B9).is_multiple_of(3);
-        let mut a: Vec<u32> = (0..n).collect();
-        let mut b = a.clone();
-        let nl_a = partition_in_place(&mut a, pred);
-        let nl_b = partition_in_place_par(&mut b, pred);
-        assert_eq!(nl_a, nl_b);
-        assert_eq!(a, b, "flagged partition must replay the serial walk");
-        // Below the cutoff the parallel entry point is the serial walk.
-        let mut c: Vec<u32> = (0..100).collect();
-        let mut d = c.clone();
-        assert_eq!(
-            partition_in_place(&mut c, pred),
-            partition_in_place_par(&mut d, pred)
-        );
-        assert_eq!(c, d);
     }
 }

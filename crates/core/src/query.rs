@@ -14,7 +14,7 @@
 //! rounds w.h.p. (Theorem 3.1).
 
 use crate::config::eps_cover_scale;
-use crate::dc::{Driver, Engine, Leaf, Node, Rule};
+use crate::dc::{Driver, Engine, Leaf, Node, Routing, Rule, Slab, Span};
 use crate::error::{validate_points, SepdcError};
 use crate::report::{cost_counters, stats_counters, RunRecorder, RunReport};
 use crate::splitter::RandomSphere;
@@ -26,9 +26,9 @@ use sepdc_geom::soa::{FilterStats, SoaBalls};
 use sepdc_scan::CostProfile;
 use sepdc_separator::{SearchOutcome, SeparatorConfig};
 
-/// Minimum node size before the ball-routing side tests run in parallel.
-/// The parallel path is positionally identical to its serial twin, so the
-/// cutoff moves wall-clock only.
+/// Minimum node size before the ball-routing side tests and the centers
+/// gather run in parallel. The parallel paths are positionally identical
+/// to their serial twins, so the cutoff moves wall-clock only.
 const ROUTE_PAR_CUTOFF: usize = 1 << 14;
 
 /// Build parameters for the query structure.
@@ -206,7 +206,12 @@ impl<const D: usize> QueryTree<D> {
             strict_depth: false,
             parallel_cutoff: cfg.parallel_cutoff,
         };
-        let built = driver.run(&BuildCtx { balls, obs: &obs }, &mut ids, seed, 0)?;
+        let slab = Slab {
+            ids: &mut ids,
+            pts: &mut [],
+            off: 0,
+        };
+        let built = driver.run(&BuildCtx { balls, obs: &obs }, slab, seed, 0)?;
         let mut counters = built.stats.counters();
         counters.extend(cost_counters(&built.cost));
         let report = RunReport {
@@ -454,15 +459,22 @@ impl<const D: usize, const E: usize> Engine<D, E> for BuildCtx<'_, D> {
     type Routed = (Vec<u32>, Vec<u32>);
     type Out = Built<D>;
 
-    fn center(&self, id: u32) -> Point<D> {
-        self.balls[id as usize].center
+    /// A node's centers, gathered in id order: routing duplicates balls
+    /// into fresh id lists, so the slab carries no coordinates.
+    fn gather(&self, ids: &[u32]) -> Option<Vec<Point<D>>> {
+        let center = |&i: &u32| self.balls[i as usize].center;
+        Some(if ids.len() >= ROUTE_PAR_CUTOFF {
+            ids.par_iter().map(center).collect()
+        } else {
+            ids.iter().map(center).collect()
+        })
     }
 
-    fn leaf(&self, ids: &[u32], kind: Leaf) -> Built<D> {
-        let m = ids.len();
+    fn leaf(&self, items: Span<'_, D>, kind: Leaf) -> Built<D> {
+        let m = items.len();
         Built {
             node: QNode::Leaf {
-                ball_ids: ids.to_vec(),
+                ball_ids: items.ids.to_vec(),
             },
             stats: QueryTreeStats {
                 leaves: 1,
@@ -479,7 +491,8 @@ impl<const D: usize, const E: usize> Engine<D, E> for BuildCtx<'_, D> {
     /// tests are the expensive part: large nodes precompute them in
     /// parallel (order-preserving collect), then push serially so the
     /// children receive ids in the identical order for every pool size.
-    fn route(&self, ids: &mut [u32], sep: &Separator<D>) -> Option<(Vec<u32>, Vec<u32>)> {
+    fn route(&self, slab: &mut Slab<'_, D>, sep: &Separator<D>) -> Routing<(Vec<u32>, Vec<u32>)> {
+        let ids = &*slab.ids;
         let sides = |i: &u32| {
             let b = &self.balls[*i as usize];
             (b.touches_interior_of(sep), b.touches_exterior_of(sep))
@@ -500,12 +513,16 @@ impl<const D: usize, const E: usize> Engine<D, E> for BuildCtx<'_, D> {
             }
         }
         // No progress when every ball crosses into one side's list.
-        (left.len() < ids.len() && right.len() < ids.len()).then_some((left, right))
+        if left.len() < ids.len() && right.len() < ids.len() {
+            Routing::Split((left, right))
+        } else {
+            Routing::OneSided { rotate: false }
+        }
     }
 
     fn combine(
         &self,
-        ids: &[u32],
+        items: Span<'_, D>,
         (left_ids, right_ids): (Vec<u32>, Vec<u32>),
         node: Node<D>,
         lb: Built<D>,
@@ -513,7 +530,7 @@ impl<const D: usize, const E: usize> Engine<D, E> for BuildCtx<'_, D> {
     ) -> Built<D> {
         // Ball references duplicated into both subtrees = the crossing set
         // B_O(S) at this node.
-        let m = ids.len();
+        let m = items.len();
         self.obs
             .add_crossing(node.depth, (left_ids.len() + right_ids.len() - m) as u64);
         // Cost: the candidate rounds plus one scan (the split) at this

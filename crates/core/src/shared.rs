@@ -8,8 +8,14 @@
 //! single flat row-major `n × k` buffer guarded by one spinlock byte per
 //! row, with the k-th-neighbor distance cached in an atomic so the hot
 //! reject path (`candidate worse than current tail`) never takes the lock.
-//! The finished store converts into a plain [`KnnResult`] without copying
-//! the entry buffer.
+//!
+//! Rows are arena positions, not point ids: row `r` holds the list of the
+//! point the §5/§6 recursion keeps at position `r` of its permutation
+//! arena, so a node's rows are one contiguous range, like its ids and
+//! coordinates. The entries themselves (`Neighbor::idx`) are input ids,
+//! which keeps the `(dist_sq, id)` order and the dedup of the id-indexed
+//! store. The finished store converts into a plain [`KnnResult`] by
+//! permuting its rows to id order in place, without a second entry buffer.
 
 use crate::knn::{merge_into_row, KnnResult, Neighbor};
 use std::cell::UnsafeCell;
@@ -19,8 +25,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 /// recursions.
 pub(crate) struct SharedLists {
     k: usize,
-    /// Row-major `n × k` entry buffer; row `i` is `entries[i*k .. (i+1)*k]`
-    /// with `lens[i]` valid prefix entries, guarded by `locks[i]`.
+    /// Row-major `n × k` entry buffer; row `r` is `entries[r*k .. (r+1)*k]`
+    /// with `lens[r]` valid prefix entries, guarded by `locks[r]`.
     entries: Vec<UnsafeCell<Neighbor>>,
     lens: Vec<AtomicU32>,
     locks: Vec<AtomicBool>,
@@ -143,9 +149,10 @@ impl SharedLists {
         f64::from_bits(self.radius_bits[i].load(Ordering::Acquire))
     }
 
-    /// Offer a candidate; same semantics as [`KnnResult::merge_candidate`].
-    pub(crate) fn merge_candidate(&self, i: usize, j: u32, dist_sq: f64) -> bool {
-        debug_assert_ne!(i as u32, j);
+    /// Offer candidate `j` at `dist_sq` to row `i`, the list of point
+    /// `owner`; same semantics as [`KnnResult::merge_candidate`].
+    pub(crate) fn merge_candidate(&self, i: usize, owner: u32, j: u32, dist_sq: f64) -> bool {
+        debug_assert_ne!(owner, j, "a point is not its own neighbor");
         // Mark the row's merge window open before the fast reject: even a
         // rejected offer consumed the cached radius, so a later set_list
         // raising it would already be a (debug-checked) ordering violation.
@@ -172,9 +179,9 @@ impl SharedLists {
     }
 
     /// Batched [`SharedLists::merge_candidate`]: offer `cands[j]` at
-    /// distance `dists[j]` for every `j` with `dists[j] < cap_sq` (the
-    /// caller's crossing-ball radius cap, strict — matching the Fast
-    /// Correction merge condition).
+    /// distance `dists[j]` to row `i`, the list of point `owner`, for every
+    /// `j` with `dists[j] < cap_sq` (the caller's crossing-ball radius cap,
+    /// strict — matching the Fast Correction merge condition).
     ///
     /// The cached row radius is loaded **once per batch** instead of once
     /// per candidate, and refreshed only after a merge actually ran. This
@@ -182,33 +189,76 @@ impl SharedLists {
     /// the merge window is open: a stale (larger) value can only
     /// *over*-admit, and `merge_candidate` re-checks under the row lock, so
     /// the resulting lists are identical to the per-candidate path.
-    pub(crate) fn merge_batch(&self, i: usize, cands: &[u32], dists: &[f64], cap_sq: f64) {
+    pub(crate) fn merge_batch(
+        &self,
+        i: usize,
+        owner: u32,
+        cands: &[u32],
+        dists: &[f64],
+        cap_sq: f64,
+    ) {
         debug_assert_eq!(cands.len(), dists.len());
         let mut cached = f64::from_bits(self.radius_bits[i].load(Ordering::Relaxed));
         for (&q, &d) in cands.iter().zip(dists) {
             // Same admission predicate as merge_candidate's fast reject
             // (`> cached` rejects, so `<= cached` admits).
             if d < cap_sq && d <= cached {
-                self.merge_candidate(i, q, d);
+                self.merge_candidate(i, owner, q, d);
                 cached = f64::from_bits(self.radius_bits[i].load(Ordering::Relaxed));
             }
         }
     }
 
-    /// Unwrap into a plain result once all parallel work is done. The entry
-    /// buffer is handed over in place — no per-point copies.
-    pub(crate) fn into_result(self) -> KnnResult {
+    /// Unwrap into a plain result once all parallel work is done: row `r`
+    /// becomes the list of point `perm[r]`. The entry buffer is handed over
+    /// and permuted in place ([`permute_rows`]).
+    pub(crate) fn into_result(self, perm: &[u32]) -> KnnResult {
         let SharedLists {
             k, entries, lens, ..
         } = self;
-        let lens: Vec<u32> = lens.into_iter().map(AtomicU32::into_inner).collect();
+        let mut lens: Vec<u32> = lens.into_iter().map(AtomicU32::into_inner).collect();
         // `UnsafeCell<T>` is repr(transparent) over `T`, so the buffer can
         // be reinterpreted without copying.
-        let entries: Vec<Neighbor> = {
+        let mut entries: Vec<Neighbor> = {
             let mut v = std::mem::ManuallyDrop::new(entries);
+            // SAFETY: same layout, and `v` is never dropped, so the buffer
+            // has exactly one owner.
             unsafe { Vec::from_raw_parts(v.as_mut_ptr() as *mut Neighbor, v.len(), v.capacity()) }
         };
+        permute_rows(k, &mut lens, &mut entries, perm);
         KnnResult::from_flat_parts(k, lens, entries)
+    }
+}
+
+/// Move row `r` of a flat `n × k` buffer to row `perm[r]`, for every `r`,
+/// in place. Each cycle of `perm` is walked once from its first row, which
+/// carries the cycle: every step swaps the row it holds into that row's
+/// target and takes the target's old row in exchange. An n-bit set marks
+/// the rows already placed; `O(n·k)` moves and no second buffer.
+fn permute_rows(k: usize, lens: &mut [u32], entries: &mut [Neighbor], perm: &[u32]) {
+    assert_eq!(perm.len(), lens.len(), "one perm entry per row");
+    let mut placed = vec![0u64; perm.len().div_ceil(64)];
+    for start in 0..perm.len() {
+        if placed[start / 64] >> (start % 64) & 1 == 1 {
+            continue;
+        }
+        let mut cur = start;
+        loop {
+            placed[cur / 64] |= 1 << (cur % 64);
+            let dst = perm[cur] as usize;
+            if dst == start {
+                break;
+            }
+            debug_assert!(
+                placed[dst / 64] >> (dst % 64) & 1 == 0,
+                "perm is not a permutation"
+            );
+            lens.swap(start, dst);
+            for t in 0..k {
+                entries.swap(start * k + t, dst * k + t);
+            }
+            cur = dst;
+        }
     }
 }
 
@@ -219,10 +269,10 @@ mod tests {
     #[test]
     fn merge_and_convert() {
         let s = SharedLists::new(3, 2);
-        s.merge_candidate(0, 1, 4.0);
-        s.merge_candidate(0, 2, 1.0);
+        s.merge_candidate(0, 0, 1, 4.0);
+        s.merge_candidate(0, 0, 2, 1.0);
         assert_eq!(s.radius_sq(0), 4.0);
-        let r = s.into_result();
+        let r = s.into_result(&[0, 1, 2]);
         assert_eq!(r.neighbors(0)[0].idx, 2);
         assert_eq!(r.neighbors(0)[1].idx, 1);
         r.check_invariants().unwrap();
@@ -232,7 +282,7 @@ mod tests {
     fn radius_infinite_until_k_known() {
         let s = SharedLists::new(2, 3);
         assert_eq!(s.radius_sq(0), f64::INFINITY);
-        s.merge_candidate(0, 1, 1.0);
+        s.merge_candidate(0, 0, 1, 1.0);
         assert_eq!(s.radius_sq(0), f64::INFINITY);
     }
 
@@ -254,10 +304,10 @@ mod tests {
         );
         assert_eq!(s.radius_sq(0), 3.0);
         // A closer candidate shrinks the cached radius.
-        assert!(s.merge_candidate(0, 3, 2.0));
+        assert!(s.merge_candidate(0, 0, 3, 2.0));
         assert_eq!(s.radius_sq(0), 2.0);
         // A strictly worse candidate is rejected on the fast path.
-        assert!(!s.merge_candidate(0, 4, 5.0));
+        assert!(!s.merge_candidate(0, 0, 4, 5.0));
         s.set_list(
             1,
             &[Neighbor {
@@ -277,12 +327,12 @@ mod tests {
                 scope.spawn(move || {
                     for j in 0..100u32 {
                         let id = 1 + t * 100 + j;
-                        s.merge_candidate(0, id, (id % 17) as f64);
+                        s.merge_candidate(0, 0, id, (id % 17) as f64);
                     }
                 });
             }
         });
-        let r = s.into_result();
+        let r = s.into_result(&[0]);
         r.check_invariants().unwrap();
         assert_eq!(r.neighbors(0).len(), 4);
         // The four best candidates have dist 0 (ids ≡ 0 mod 17).
@@ -309,15 +359,15 @@ mod tests {
                         // against the insert of the first.
                         let id = 1 + (j % 64);
                         let d = ((id * 37) % 101) as f64;
-                        s.merge_candidate(0, id, d);
+                        s.merge_candidate(0, 0, id, d);
                         // Plus a thread-unique id to churn the tail.
                         let uid = 100 + t * PER_THREAD + j;
-                        s.merge_candidate(0, uid, 50.0 + (uid % 13) as f64);
+                        s.merge_candidate(0, 0, uid, 50.0 + (uid % 13) as f64);
                     }
                 });
             }
         });
-        let got = s.into_result();
+        let got = s.into_result(&[0]);
         got.check_invariants().unwrap();
 
         // Sequential oracle over the same candidate multiset.
@@ -343,7 +393,7 @@ mod tests {
     #[should_panic(expected = "set_list on row 0 after merge_candidate")]
     fn set_list_after_merge_window_is_rejected_in_debug() {
         let s = SharedLists::new(1, 1);
-        assert!(s.merge_candidate(0, 1, 2.0));
+        assert!(s.merge_candidate(0, 0, 1, 2.0));
         // Row 0 is full (radius 2.0); this overwrite with a short list
         // would publish radius INFINITY into an already-open merge window.
         s.set_list(0, &[]);
@@ -367,7 +417,7 @@ mod tests {
                         // so the cache keeps moving while threads race.
                         for j in 0..2000u32 {
                             let id = 1 + t * 2000 + j;
-                            s.merge_candidate(0, id, 4000.0 - j as f64 + (t as f64) * 0.25);
+                            s.merge_candidate(0, 0, id, 4000.0 - j as f64 + (t as f64) * 0.25);
                         }
                     })
                 })
@@ -397,7 +447,7 @@ mod tests {
             let final_seen = reader.join().unwrap();
             assert!(final_seen.is_finite(), "reader never saw a full row");
         });
-        let r = s.into_result();
+        let r = s.into_result(&[0]);
         r.check_invariants().unwrap();
         assert_eq!(r.neighbors(0).len(), k);
     }
@@ -435,15 +485,72 @@ mod tests {
             let s1 = &s;
             scope.spawn(move || {
                 for j in 0..1000u32 {
-                    s1.merge_candidate(1, 2 + j, (j % 29) as f64);
+                    s1.merge_candidate(1, 1, 2 + j, (j % 29) as f64);
                 }
             });
         });
-        let r = s.into_result();
+        let r = s.into_result(&[0, 1]);
         r.check_invariants().unwrap();
         assert_eq!(r.neighbors(0).len(), 4);
         assert_eq!(r.neighbors(0)[0].idx, 10);
         assert_eq!(r.neighbors(1).len(), 4);
         assert!(r.neighbors(1).iter().all(|n| n.dist_sq == 0.0));
+    }
+
+    /// `n` rows where row `r` holds `r % (k + 1)` entries tagged with `r`:
+    /// every length from 0 to k.
+    fn tagged(n: usize, k: usize) -> (SharedLists, Vec<Vec<Neighbor>>) {
+        let s = SharedLists::new(n, k);
+        let rows: Vec<Vec<Neighbor>> = (0..n)
+            .map(|r| {
+                (0..r % (k + 1))
+                    .map(|j| Neighbor {
+                        idx: (r * 16 + j) as u32,
+                        dist_sq: j as f64,
+                    })
+                    .collect()
+            })
+            .collect();
+        for (r, row) in rows.iter().enumerate() {
+            s.set_list(r, row);
+        }
+        (s, rows)
+    }
+
+    #[test]
+    fn into_result_permutes_rows_like_a_scatter() {
+        let k = 3;
+        let mut perms: Vec<Vec<u32>> = vec![vec![], vec![0], (0..9).collect()];
+        // One 2-cycle, one n-cycle.
+        let mut two: Vec<u32> = (0..9).collect();
+        two.swap(2, 7);
+        perms.push(two);
+        perms.push((0..9).map(|r| (r + 1) % 9).collect());
+        // Random perms (Fisher-Yates over a splitmix stream).
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z ^ (z >> 31)
+        };
+        for n in [2u32, 5, 64, 65, 130] {
+            let mut p: Vec<u32> = (0..n).collect();
+            for i in (1..p.len()).rev() {
+                p.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            perms.push(p);
+        }
+        for perm in perms {
+            let (s, rows) = tagged(perm.len(), k);
+            let got = s.into_result(&perm);
+            // The scatter reference: row `r` lands at `perm[r]`.
+            for (r, row) in rows.iter().enumerate() {
+                assert_eq!(
+                    got.neighbors(perm[r] as usize),
+                    &row[..],
+                    "{perm:?} row {r}"
+                );
+            }
+        }
     }
 }

@@ -16,7 +16,7 @@
 
 use crate::config::KnnDcConfig;
 use crate::correction::{collect_both_sides, correct_via_query};
-use crate::dc::{partition_points, Driver, Engine, Leaf, Node, Rule};
+use crate::dc::{partition_points, Driver, Engine, Leaf, Node, Routing, Rule, Slab, Span};
 use crate::error::{validate_points, SepdcError};
 use crate::knn::{solve_leaf, KnnResult};
 use crate::parallel::knn_report;
@@ -25,7 +25,7 @@ use crate::seeding::punt_seed;
 use crate::shared::SharedLists;
 use sepdc_geom::point::Point;
 use sepdc_geom::shape::Separator;
-use sepdc_geom::soa::{FilterStats, SoaPoints};
+use sepdc_geom::soa::FilterStats;
 use sepdc_scan::CostProfile;
 
 /// Statistics from one run of the Section 5 algorithm.
@@ -112,12 +112,10 @@ pub struct SimpleDcOutput {
 }
 
 /// The Section 5 engine: leaf solves, in-place routing, and the
-/// query-structure correction.
+/// query-structure correction. Every hook reads its node's points from the
+/// coordinate arena the driver partitions with the ids.
 struct Ctx<'a, const D: usize> {
-    points: &'a [Point<D>],
-    /// Column-major copy of `points` for the batched leaf-solve and
-    /// unbounded-correction kernels.
-    soa: &'a SoaPoints<D>,
+    /// Row `p` is the list of the point at arena position `p`.
     lists: &'a SharedLists,
     cfg: &'a KnnDcConfig,
     obs: &'a RunRecorder,
@@ -154,25 +152,28 @@ pub fn try_simple_parallel_knn<const D: usize, const E: usize>(
     let n = points.len();
     let lists = SharedLists::new(n, cfg.k);
     let obs = RunRecorder::new(cfg.record, cfg.resolve_depth_limit(n));
-    let soa = SoaPoints::from_points(points);
     let ctx = Ctx {
-        points,
-        soa: &soa,
         lists: &lists,
         cfg,
         obs: &obs,
     };
     let driver = Driver::<D, E>::for_knn(cfg, n, Rule::MedianCycling, &obs, None);
-    // Permutation arena: the recursion partitions this buffer in place and
-    // hands each recursive call a disjoint `&mut` slice — no per-level
-    // id-set clones.
+    // The arena: ids and their points, partitioned in place together, each
+    // recursive call getting disjoint `&mut` slices of both.
     let mut perm: Vec<u32> = (0..n as u32).collect();
-    let (cost, stats, fstats) = driver.run(&ctx, &mut perm, cfg.seed, 0)?;
+    let mut pts = points.to_vec();
+    let slab = Slab {
+        ids: &mut perm,
+        pts: &mut pts,
+        off: 0,
+    };
+    let (cost, stats, fstats) = driver.run(&ctx, slab, cfg.seed, 0)?;
+    drop(pts);
     let mut counters = stats.counters();
     counters.extend(cost_counters(&cost));
     counters.push(("precision.eps_skips".to_string(), fstats.eps_skips as f64));
     Ok(SimpleDcOutput {
-        knn: lists.into_result(),
+        knn: lists.into_result(&perm),
         cost,
         stats,
         report: knn_report("simple", cfg, n, &driver, counters, t_run),
@@ -183,43 +184,35 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
     type Routed = usize;
     type Out = (CostProfile, SimpleDcStats, FilterStats);
 
-    fn center(&self, id: u32) -> Point<D> {
-        self.points[id as usize]
+    fn gather(&self, _: &[u32]) -> Option<Vec<Point<D>>> {
+        None
     }
 
-    fn leaf(&self, ids: &[u32], kind: Leaf) -> Self::Out {
+    fn leaf(&self, items: Span<'_, D>, kind: Leaf) -> Self::Out {
         let t0 = self.obs.start();
-        let (cost, _) = solve_leaf(self.soa, self.lists, ids, kind);
+        let (cost, _) = solve_leaf(self.lists, items, kind);
         self.obs.stop(Phase::LeafSolve, t0);
         (cost, SimpleDcStats::leaf(kind), FilterStats::default())
     }
 
-    fn route(&self, ids: &mut [u32], sep: &Separator<D>) -> Option<usize> {
-        partition_points(self.points, ids, sep)
+    fn route(&self, slab: &mut Slab<'_, D>, sep: &Separator<D>) -> Routing<usize> {
+        partition_points(slab, sep)
     }
 
     fn combine(
         &self,
-        ids: &[u32],
+        items: Span<'_, D>,
         nl: usize,
         node: Node<D>,
         (lcost, lstats, lf): Self::Out,
         (rcost, rstats, rf): Self::Out,
     ) -> Self::Out {
-        let m = ids.len();
+        let m = items.len();
         // Correction: query structure over all crossing balls (both
-        // sides). The child calls permuted their halves but the id sets
+        // sides). The child calls permuted their halves but the item sets
         // are unchanged.
         let (mut crossing, cross_r, eps_skips) = self.obs.time(Phase::CollectCrossing, || {
-            collect_both_sides(
-                self.points,
-                self.soa,
-                self.lists,
-                ids,
-                nl,
-                &node.sep,
-                self.cfg.epsilon,
-            )
+            collect_both_sides(self.lists, items, nl, &node.sep, self.cfg.epsilon)
         });
         crossing.extend(cross_r);
         let node_crossing = crossing.len();
@@ -232,7 +225,7 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
         // (the Section 5 combine step), so its time lands in the same
         // `punt-correction` phase the Section 6 punt path uses.
         let (corr_cost, corr_stats) = self.obs.time(Phase::PuntCorrection, || {
-            correct_via_query::<D, E>(self.soa, self.lists, ids, &crossing, qcfg, qseed)
+            correct_via_query::<D, E>(self.lists, items, &crossing, qcfg, qseed)
         });
 
         let local = CostProfile::scan(m as u64); // the split

@@ -1,9 +1,11 @@
 //! Structure-of-arrays coordinate arena and batched distance kernels.
 //!
-//! The divide-and-conquer hot paths (leaf brute solves, Fast-Correction
-//! candidate evaluation, kd-tree leaf scans, query-tree cover tests) all
-//! reduce to the same primitive: squared distances from **one** query point
-//! to **many** candidate points. The AoS [`Point<D>`] layout makes that
+//! The kd-tree's leaf scans, the brute-force baseline, the query tree's
+//! cover tests and the sharded index's ball scans all reduce to the same
+//! primitive: squared distances from **one** query point to **many**
+//! candidate points. (The §5/§6 recursions keep their points in the
+//! order of their own permutation arena instead, so their scans are
+//! contiguous without a column copy.) The AoS [`Point<D>`] layout makes that
 //! primitive a strided gather — every candidate pulls `D` coordinates from
 //! a distinct cache line and the compiler sees one independent scalar
 //! reduction per pair. [`SoaPoints`] stores the same coordinates as `D`
@@ -33,7 +35,6 @@
 //! `tests/proptest_soa_kernels.rs` pin down exactly this contract,
 //! including raw-bit non-finite inputs.
 
-use crate::aabb::Aabb;
 use crate::ball::Ball;
 use crate::point::Point;
 
@@ -61,10 +62,11 @@ impl FilterStats {
 
 /// Per-dimension contiguous coordinate columns for a point set.
 ///
-/// Built once from the input (same index space as the `&[Point<D>]` it came
-/// from), then shared read-only by every distance-heavy consumer. Sub-ranges
-/// of the D&C permutation arena address it by id (gather kernels); fully
-/// contiguous scans (brute force) use the range kernels.
+/// Built once from a point set (same index space as the `&[Point<D>]` it
+/// came from), then shared read-only by its consumer. Id subsets address it
+/// through the gather kernels (the query tree's leaf ball lists); fully
+/// contiguous scans (brute force, a kd-tree stored in tree order) use the
+/// range kernels.
 #[derive(Clone, Debug)]
 pub struct SoaPoints<const D: usize> {
     /// `cols[d][i]` is coordinate `d` of point `i`.
@@ -114,11 +116,6 @@ impl<const D: usize> SoaPoints<D> {
     /// `true` when the arena holds no points.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Re-materialize point `i` (cold paths only; hot paths stay columnar).
-    pub fn point(&self, i: usize) -> Point<D> {
-        Point(std::array::from_fn(|d| self.cols[d][i]))
     }
 
     /// Scalar tail kernel: squared distance from `q` to point `i`.
@@ -211,15 +208,6 @@ impl<const D: usize> SoaPoints<D> {
                 *o += diff * diff;
             }
         }
-    }
-
-    /// Axis-aligned bounding box of a gathered id subset.
-    pub fn aabb_of_ids(&self, ids: &[u32]) -> Aabb<D> {
-        let mut bb = Aabb::empty();
-        for &i in ids {
-            bb = bb.union_point(&self.point(i as usize));
-        }
-        bb
     }
 }
 
@@ -417,12 +405,12 @@ mod tests {
     }
 
     #[test]
-    fn point_round_trips() {
+    fn columns_round_trip() {
         let pts = pts_3d(9);
         let soa = SoaPoints::from_points(&pts);
         assert_eq!(soa.len(), 9);
         for (i, p) in pts.iter().enumerate() {
-            assert_eq!(soa.point(i), *p);
+            assert!((0..3).all(|d| soa.col(d)[i] == p[d]));
         }
     }
 
@@ -452,18 +440,6 @@ mod tests {
             .collect();
         assert_eq!(closed, want_closed);
         assert_eq!(open, want_open);
-    }
-
-    #[test]
-    fn aabb_of_ids_matches_of_points() {
-        let pts = pts_3d(20);
-        let soa = SoaPoints::from_points(&pts);
-        let ids: Vec<u32> = vec![3, 7, 7, 11, 19];
-        let subset: Vec<Point<3>> = ids.iter().map(|&i| pts[i as usize]).collect();
-        let bb = soa.aabb_of_ids(&ids);
-        let want = Aabb::of_points(&subset);
-        assert_eq!(bb.lo, want.lo);
-        assert_eq!(bb.hi, want.hi);
     }
 
     #[test]

@@ -11,11 +11,19 @@
 //! - Halving rescue: the random search accepts a separator that routes
 //!   every point one way, and the halving cut re-splits the node instead
 //!   of leaving a forced brute leaf.
+//! - Unbounded-list correction: a side of at most k points leaves every
+//!   list on it short (an unbounded ball, which crosses every cut), so the
+//!   combine merges the whole opposite side into those lists. The test
+//!   asserts its precondition on the returned tree: a leaf of at most k
+//!   points.
+//!
+//! The auto depth guard's forced leaf is not pinned: no input is known
+//! that reaches it at the default depth limit.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sepdc::core::{
-    kdtree_all_knn, parallel_knn, KnnDcConfig, ParallelDcOutput, HALVING_FIRST_BELOW,
+    kdtree_all_knn, parallel_knn, KnnDcConfig, ParallelDcOutput, PartitionNode, HALVING_FIRST_BELOW,
 };
 use sepdc::geom::Point;
 use sepdc::workloads::Workload;
@@ -76,4 +84,26 @@ fn one_sided_sphere_is_rescued_by_the_halving_cut() {
     let s = run_exact(&jittered_sites(), &cfg).stats;
     assert!(s.halving_rescues >= 1, "{s:?}");
     assert_eq!(s.degenerate_splits, 0, "{s:?}");
+}
+
+/// 2^14 copies of (0.5, 0.5) and four points off to the side.
+fn bundle_and_stragglers() -> Vec<Point<2>> {
+    let mut pts = vec![Point::from([0.5, 0.5]); HALVING_FIRST_BELOW];
+    pts.extend((1..=4).map(|j| Point::from([0.6 + 0.1 * j as f64, 0.5 + 0.01 * j as f64])));
+    pts
+}
+
+#[test]
+fn short_lists_are_corrected_against_the_whole_other_side() {
+    // The root's sphere splits the four stragglers off the bundle. With
+    // k = 4 each straggler knows only three neighbors, so its ball is
+    // unbounded and every bundle point is a candidate.
+    let cfg = KnnDcConfig::new(4).with_seed(3);
+    let out = run_exact(&bundle_and_stragglers(), &cfg);
+    let short_leaf = out
+        .tree
+        .nodes()
+        .iter()
+        .any(|n| matches!(*n, PartitionNode::Leaf { len, .. } if len as usize <= cfg.k));
+    assert!(short_leaf, "no leaf of at most k points: {:?}", out.stats);
 }
