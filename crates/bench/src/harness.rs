@@ -1,7 +1,7 @@
 //! Small table/series printing and fitting utilities shared by all
 //! experiments.
 
-pub use sepdc_core::report::json_str;
+use sepdc_core::report::json_str;
 
 /// One printed row: label plus formatted cells.
 #[derive(Clone, Debug)]
@@ -187,67 +187,6 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = std::time::Instant::now();
     let out = f();
     (out, t0.elapsed().as_secs_f64())
-}
-
-/// Host parallelism snapshot stamped into every `BENCH_*.json` artifact:
-/// without the core count, thread-scaling columns measured on a
-/// single-core box read as mysterious slowdowns instead of the expected
-/// oversubscription.
-#[derive(Clone, Copy, Debug)]
-pub struct HostInfo {
-    /// `std::thread::available_parallelism()` (1 when unknown).
-    pub cores: usize,
-    /// Size of the ambient rayon pool at snapshot time.
-    pub rayon_threads: usize,
-}
-
-/// Snapshot the current host/pool parallelism.
-pub fn host_info() -> HostInfo {
-    HostInfo {
-        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        rayon_threads: rayon::current_num_threads(),
-    }
-}
-
-impl HostInfo {
-    /// `true` when the host exposes a single hardware thread: any
-    /// multi-thread column then measures oversubscription, not speedup.
-    pub fn single_core(&self) -> bool {
-        self.cores <= 1
-    }
-
-    /// JSON object for embedding under a `"host"` key.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{ \"cores\": {}, \"rayon_threads\": {}, \"single_core\": {} }}",
-            self.cores,
-            self.rayon_threads,
-            self.single_core()
-        )
-    }
-
-    /// One-line description for table notes.
-    pub fn describe(&self) -> String {
-        format!(
-            "host: {} core(s), rayon pool {} thread(s){}",
-            self.cores,
-            self.rayon_threads,
-            if self.single_core() {
-                " — SINGLE-CORE HOST: thread columns measure oversubscription, not speedup"
-            } else {
-                ""
-            }
-        )
-    }
-
-    /// Print the explicit single-core warning to stderr when applicable.
-    pub fn warn_if_single_core(&self) {
-        if self.single_core() {
-            eprintln!(
-                "warning: single-core host — thread columns measure oversubscription, not speedup"
-            );
-        }
-    }
 }
 
 #[cfg(test)]

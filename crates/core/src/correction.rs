@@ -44,7 +44,8 @@ const PAR_SCAN_CUTOFF: usize = 2048;
 /// The first correction step at a node whose items are `node`, interior
 /// side first (`nl` of them): collect both sides' crossing balls and fix
 /// the owners whose subset ball is unbounded by a scan of the opposite
-/// side. Returns the left and right crossing sets and the ε-skips.
+/// side. Returns the left and right crossing sets, the ε-skips and the
+/// distances that scan evaluated.
 ///
 /// ε-mode shrinks each crossing ball's radius by 1/(1+ε) here
 /// ([`crate::config::eps_radius_scale`]); every later correction stage
@@ -56,14 +57,14 @@ pub(crate) fn collect_both_sides<const D: usize>(
     nl: usize,
     sep: &Separator<D>,
     epsilon: f64,
-) -> (Vec<CrossingBall<D>>, Vec<CrossingBall<D>>, u64) {
+) -> (Vec<CrossingBall<D>>, Vec<CrossingBall<D>>, u64, u64) {
     let (left, right) = node.split_at(nl);
     let scale = crate::config::eps_radius_scale(epsilon);
     let (cross_l, unbounded_l, skips_l) = collect_crossing(lists, left, sep, scale);
     let (cross_r, unbounded_r, skips_r) = collect_crossing(lists, right, sep, scale);
-    correct_unbounded(lists, left, &unbounded_l, right);
-    correct_unbounded(lists, right, &unbounded_r, left);
-    (cross_l, cross_r, skips_l + skips_r)
+    let evals = correct_unbounded(lists, left, &unbounded_l, right)
+        + correct_unbounded(lists, right, &unbounded_r, left);
+    (cross_l, cross_r, skips_l + skips_r, evals)
 }
 
 /// Collect the crossing balls of one side, reading its radii and points in
@@ -140,12 +141,13 @@ fn collect_crossing<const D: usize>(
 /// linear in `|unbounded| · |opposite|`. Owners are corrected in parallel
 /// when the pair count is large — each owner writes only its own list, and
 /// `merge_candidate` is order-independent, so the result is deterministic.
+/// Returns the number of distances evaluated.
 fn correct_unbounded<const D: usize>(
     lists: &SharedLists,
     own: Span<'_, D>,
     unbounded: &[u32],
     opposite: Span<'_, D>,
-) {
+) -> u64 {
     let one = |&o: &u32| {
         // One distance sweep over the opposite side's points, then a
         // batched merge (the cached radius is loaded once per batch;
@@ -156,11 +158,13 @@ fn correct_unbounded<const D: usize>(
         let owner = own.id(o as usize);
         lists.merge_batch(o as usize, owner, opposite.ids, &dists, f64::INFINITY);
     };
-    if unbounded.len().saturating_mul(opposite.len()) >= PAR_SCAN_CUTOFF && unbounded.len() > 1 {
+    let pairs = unbounded.len().saturating_mul(opposite.len());
+    if pairs >= PAR_SCAN_CUTOFF && unbounded.len() > 1 {
         unbounded.par_iter().for_each(one);
     } else {
         unbounded.iter().for_each(one);
     }
+    pairs as u64
 }
 
 /// Query-structure correction over an explicit crossing-ball set.
@@ -337,7 +341,7 @@ mod tests {
         let (left, right) = span(&ids, &points).split_at(1);
         let (_, unbounded, _) = collect_crossing(&lists, left, &sep, 1.0);
         assert_eq!(unbounded, vec![0]);
-        correct_unbounded(&lists, left, &unbounded, right);
+        assert_eq!(correct_unbounded(&lists, left, &unbounded, right), 9);
         assert_eq!(lists.radius_sq(0), 1.0);
     }
 

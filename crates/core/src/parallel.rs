@@ -242,7 +242,8 @@ pub fn try_parallel_knn<const D: usize, const E: usize>(
     counters.extend(cost_counters(&sub.cost));
     // Correction-engine view of the meter (same numbers, task-oriented
     // names): total march steps, subtrees skipped by AABB-vs-ball
-    // rejection, and distance evaluations spent on marched candidates.
+    // rejection, and distance evaluations spent on marched candidates and
+    // on unbounded lists.
     for (name, v) in [
         ("march_steps", snapshot.marching_balls),
         ("march_pruned", snapshot.march_pruned),
@@ -381,10 +382,13 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
         // ---- Correction (the paper's `Correction` procedure) ----
         // The child calls permuted their halves but the item *sets* are
         // unchanged, so the two halves are exactly the left/right subsets.
-        let (cross_l, cross_r, eps_skips) = self.obs.time(Phase::CollectCrossing, || {
-            collect_both_sides(self.lists, items, nl, &sep, self.cfg.epsilon)
-        });
+        let (cross_l, cross_r, eps_skips, unbounded_evals) =
+            self.obs.time(Phase::CollectCrossing, || {
+                collect_both_sides(self.lists, items, nl, &sep, self.cfg.epsilon)
+            });
         self.meter.add_eps_skips(eps_skips);
+        self.meter.add_distance_evals(unbounded_evals);
+        self.meter.add_correction_dist_evals(unbounded_evals);
 
         let crossing_total = cross_l.len() + cross_r.len();
         self.obs.add_crossing(depth, crossing_total as u64);
@@ -449,7 +453,8 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
         };
 
         let local = CostProfile::scan(m as u64).with_candidates(node.attempts);
-        let cost = local.then(left.cost.alongside(right.cost)).then(corr_cost);
+        let mut cost = local.then(left.cost.alongside(right.cost)).then(corr_cost);
+        cost.work += unbounded_evals;
         bounds.push(bounds[l_root as usize].union(&bounds[r_root as usize]));
         nodes.push(PartitionNode::Internal {
             sep,

@@ -7,8 +7,8 @@
 //! [`sepdc_scan::CostProfile`]) with no timings, no per-depth breakdown,
 //! and no machine-readable artifact. [`RunReport`] merges them into one
 //! **versioned, serializable** schema that every entry point, the CLI
-//! (`sepdc knn --report out.json`, `sepdc report`), and the bench harness
-//! (`BENCH_parallel_knn.json`) share.
+//! (`sepdc knn --report out.json`, `sepdc report`), and the benchmark
+//! (`bench_layers`, which takes its traced phase times from it) share.
 //!
 //! Two pieces:
 //!

@@ -61,8 +61,8 @@
 //! The `covering` / `covering_interior` point queries and their batch
 //! wrappers ([`QueryTree::batch_covering`],
 //! [`QueryTree::batch_covering_interior`]) are thin front-ends over
-//! [`QueryTree::try_serve`]; the `sepdc query` CLI subcommand and the
-//! `bench_query_throughput` harness drive the same engine end to end.
+//! [`QueryTree::try_serve`]; the `sepdc query` and `sepdc serve` CLI
+//! subcommands drive the same engine end to end.
 
 pub use crate::config::ServeConfig;
 

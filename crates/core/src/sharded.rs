@@ -11,7 +11,8 @@
 //!   empty slot `j` merge — purging tombstones — into a single fresh tree
 //!   at slot `j` (the classic binary carry). Each ball therefore
 //!   participates in `O(log(n / staging_cap))` rebuilds over its lifetime,
-//!   which is the amortized-insert bound `bench_churn` measures.
+//!   the amortized-insert bound that the unit test
+//!   `single_inserts_rebuild_each_ball_logarithmically_often` checks.
 //! * **Deletes.** A delete tombstones the ball's bit in its shard's bitmap
 //!   (or removes it from staging outright). Tombstoned balls keep their
 //!   slot in the shard's tree until the next carry that includes the shard
@@ -983,6 +984,22 @@ mod tests {
             ShardedIndex::from_entries::<3>(&[(3, b), (3, b)], ShardedConfig::default(), 1)
                 .is_err()
         );
+    }
+
+    #[test]
+    fn single_inserts_rebuild_each_ball_logarithmically_often() {
+        // N single inserts at staging capacity B: each ball takes part in
+        // at most ⌊log₂(N/B)⌋ + 1 rebuilds, one per slot it carries into.
+        const N: usize = 4096;
+        let cfg = small_cfg();
+        let mut idx = ShardedIndex::new(cfg, 5).unwrap();
+        for b in balls(N, 10) {
+            idx.try_insert_batch::<3>(&[b]).unwrap();
+        }
+        let s = idx.stats();
+        assert_eq!(s.live, N);
+        let per_ball = (N / cfg.staging_cap).ilog2() as u64 + 1;
+        assert!(s.rebuilt_balls <= N as u64 * per_ball, "{s:?}");
     }
 
     #[test]

@@ -211,9 +211,10 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
         // Correction: query structure over all crossing balls (both
         // sides). The child calls permuted their halves but the item sets
         // are unchanged.
-        let (mut crossing, cross_r, eps_skips) = self.obs.time(Phase::CollectCrossing, || {
-            collect_both_sides(self.lists, items, nl, &node.sep, self.cfg.epsilon)
-        });
+        let (mut crossing, cross_r, eps_skips, unbounded_evals) =
+            self.obs.time(Phase::CollectCrossing, || {
+                collect_both_sides(self.lists, items, nl, &node.sep, self.cfg.epsilon)
+            });
         crossing.extend(cross_r);
         let node_crossing = crossing.len();
         self.obs.add_crossing(node.depth, node_crossing as u64);
@@ -229,7 +230,8 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
         });
 
         let local = CostProfile::scan(m as u64); // the split
-        let cost = local.then(lcost.alongside(rcost)).then(corr_cost);
+        let mut cost = local.then(lcost.alongside(rcost)).then(corr_cost);
+        cost.work += unbounded_evals;
         let stats = lstats.merge(rstats, node_crossing, m);
         let mut fstats = lf;
         fstats.merge(&rf);

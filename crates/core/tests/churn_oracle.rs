@@ -4,8 +4,10 @@
 //! 1. every query answer equals a brute multiset oracle over the balls
 //!    alive at that instant (closed covering, interior covering, k-NN by
 //!    the `(dist_sq.to_bits(), id)` total order);
-//! 2. the full query transcript is byte-identical across 1-, 2- and
-//!    7-thread rayon pools (determinism at every thread count);
+//! 2. the full query transcript and the churned index's snapshot bytes
+//!    are identical across 1-, 2- and 7-thread rayon pools (determinism at
+//!    every thread count; answers do not depend on the shard layout, so
+//!    only the bytes show a rebuild that does);
 //! 3. the post-churn index answers identically to *fresh* builds over the
 //!    surviving entries — another incremental layout, a bulk
 //!    `from_entries` layout, and a plain single [`QueryTree`] — so shard
@@ -13,7 +15,7 @@
 
 use proptest::prelude::*;
 use sepdc_core::serve::{CoverPredicate, ServeConfig};
-use sepdc_core::{QueryTree, QueryTreeConfig, ShardedConfig, ShardedIndex};
+use sepdc_core::{save_sharded_index, QueryTree, QueryTreeConfig, ShardedConfig, ShardedIndex};
 use sepdc_geom::ball::Ball;
 use sepdc_geom::Point;
 
@@ -69,14 +71,20 @@ fn oracle_knn(live: &[(u64, Ball<2>)], p: &Point<2>, k: usize) -> Vec<(u64, u64)
     keys
 }
 
+/// Everything one scripted run leaves behind.
+struct Run {
+    /// The serialized query answers, in script order.
+    transcript: Vec<String>,
+    /// `save_sharded_index` of the churned index.
+    snapshot: Vec<u8>,
+    index: ShardedIndex<2>,
+    /// The surviving `(id, ball)` entries.
+    live: Vec<(u64, Ball<2>)>,
+}
+
 /// Run the script inside a pool of `threads` workers, checking every
-/// query against the oracle as it happens. Returns the serialized query
-/// transcript plus the final index and surviving entries.
-fn run_script(
-    ops: &[Op],
-    staging_cap: usize,
-    threads: usize,
-) -> (Vec<String>, ShardedIndex<2>, Vec<(u64, Ball<2>)>) {
+/// query against the oracle as it happens.
+fn run_script(ops: &[Op], staging_cap: usize, threads: usize) -> Run {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
@@ -118,7 +126,12 @@ fn run_script(
                 }
             }
         }
-        (transcript, idx, live)
+        Run {
+            transcript,
+            snapshot: save_sharded_index(&idx),
+            index: idx,
+            live,
+        }
     })
 }
 
@@ -161,12 +174,14 @@ proptest! {
     ) {
         let ops = decode(&raw);
 
-        // (1) + (2): oracle checks run inside every pool; transcripts must
-        // agree bit for bit across thread counts.
-        let (base, idx, live) = run_script(&ops, staging_cap, POOLS[0]);
+        // (1) + (2): oracle checks run inside every pool; transcripts and
+        // snapshots must agree bit for bit across thread counts.
+        let Run { transcript, snapshot, index: idx, live } =
+            run_script(&ops, staging_cap, POOLS[0]);
         for &threads in &POOLS[1..] {
-            let (t, _, _) = run_script(&ops, staging_cap, threads);
-            prop_assert_eq!(&t, &base, "transcript differs at {} threads", threads);
+            let run = run_script(&ops, staging_cap, threads);
+            prop_assert_eq!(&run.transcript, &transcript, "transcript differs at {} threads", threads);
+            prop_assert!(run.snapshot == snapshot, "snapshot bytes differ at {} threads", threads);
         }
 
         // (3) layout independence: the churned index vs fresh builds over

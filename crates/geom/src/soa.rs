@@ -169,7 +169,8 @@ impl<const D: usize> SoaPoints<D> {
     /// Contiguous kernel: `out[j] = |points[start + j] - q|^2`.
     ///
     /// The dense-streak variant for scans over an unbroken id range (brute
-    /// force, microbenches); `out.len()` fixes the range length.
+    /// force, kd-tree leaves, shard sweeps); `out.len()` fixes the range
+    /// length.
     ///
     /// # Panics
     /// Panics when `start + out.len()` exceeds the arena.

@@ -143,8 +143,9 @@ pub struct MeterSnapshot {
     pub query_builds: u64,
     /// Point-to-point distance evaluations.
     pub distance_evals: u64,
-    /// Distance evaluations spent on Fast-Correction candidates (a subset
-    /// of [`MeterSnapshot::distance_evals`]).
+    /// Distance evaluations spent correcting lists across a separator:
+    /// Fast-Correction candidates and the exhaustive scans that fix
+    /// unbounded lists (a subset of [`MeterSnapshot::distance_evals`]).
     pub correction_dist_evals: u64,
     /// Candidates skipped by the ε-relaxed predicates (zero in exact mode).
     pub eps_skips: u64,
@@ -204,8 +205,8 @@ impl CostMeter {
         self.distance_evals.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Record `n` Fast-Correction candidate distance evaluations (also
-    /// counted in the global `distance_evals` by the caller).
+    /// Record `n` correction distance evaluations (also counted in the
+    /// global `distance_evals` by the caller).
     pub fn add_correction_dist_evals(&self, n: u64) {
         self.correction_dist_evals.fetch_add(n, Ordering::Relaxed);
     }

@@ -8,7 +8,6 @@
 //! rounds), `k_smallest`, and the round-count instrumentation that lets
 //! EXP-12 verify the doubly-logarithmic round growth.
 
-use crate::scan::{exclusive_scan, AddUsize};
 use rand::Rng;
 
 /// Result of a selection: the value plus the number of partition rounds
@@ -174,51 +173,6 @@ pub fn select_rank_fr<R: Rng>(xs: &[f64], rank: usize, rng: &mut R) -> Selected 
     }
 }
 
-/// Histogram-style multi-rank selection: all of ranks `0..k` at once via
-/// one counting pass over `buckets` quantile buckets — the scan-friendly
-/// alternative when `k` is large. Returns the k smallest, ascending.
-pub fn k_smallest_bucketed(xs: &[f64], k: usize, buckets: usize) -> Vec<f64> {
-    if k == 0 || xs.is_empty() {
-        return Vec::new();
-    }
-    if k >= xs.len() {
-        let mut all = xs.to_vec();
-        all.sort_by(|a, b| a.partial_cmp(b).expect("NaN"));
-        return all;
-    }
-    let lo = xs.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if lo == hi {
-        return vec![lo; k];
-    }
-    let b = buckets.max(2);
-    let width = (hi - lo) / b as f64;
-    let mut counts = vec![0usize; b];
-    for &x in xs {
-        let idx = (((x - lo) / width) as usize).min(b - 1);
-        counts[idx] += 1;
-    }
-    let (prefix, _) = exclusive_scan(AddUsize, &counts);
-    // First bucket whose prefix passes k: everything strictly below it is
-    // in; recurse into the boundary bucket.
-    let boundary = (0..b)
-        .find(|&i| prefix[i] + counts[i] >= k)
-        .expect("k < n guarantees a boundary bucket");
-    let cut_lo = lo + boundary as f64 * width;
-    let cut_hi = cut_lo + width;
-    let mut sure: Vec<f64> = xs.iter().copied().filter(|&x| x < cut_lo).collect();
-    let mut boundary_vals: Vec<f64> = xs
-        .iter()
-        .copied()
-        .filter(|&x| x >= cut_lo && (x < cut_hi || boundary == b - 1))
-        .collect();
-    boundary_vals.sort_by(|a, b| a.partial_cmp(b).expect("NaN"));
-    let need = k - sure.len();
-    sure.extend_from_slice(&boundary_vals[..need]);
-    sure.sort_by(|a, b| a.partial_cmp(b).expect("NaN"));
-    sure
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,23 +292,6 @@ mod tests {
     fn k_smallest_zero() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         assert!(k_smallest(&[1.0, 2.0], 0, &mut rng).is_empty());
-    }
-
-    #[test]
-    fn bucketed_matches_quickselect() {
-        let xs = pseudo(5000, 13);
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        for k in [1usize, 7, 500, 4999] {
-            let a = k_smallest(&xs, k, &mut rng);
-            let b = k_smallest_bucketed(&xs, k, 64);
-            assert_eq!(a, b, "k={k}");
-        }
-    }
-
-    #[test]
-    fn bucketed_constant_input() {
-        let xs = vec![3.5; 100];
-        assert_eq!(k_smallest_bucketed(&xs, 5, 16), vec![3.5; 5]);
     }
 
     #[test]

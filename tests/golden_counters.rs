@@ -13,7 +13,9 @@
 //! n = 2·`HALVING_FIRST_BELOW` with k = 4 and seed 3, plus the inputs of
 //! `tests/rare_branches.rs` that take the halving rescue and the
 //! unbounded-list correction. One §5 row and one §3 query-tree row (its
-//! stats and snapshot hash) follow.
+//! stats and snapshot hash) follow, then three more §6 rows at the same
+//! n, k and seed: duplicate bundles, a tolerance-band cloud and a noisy
+//! line.
 //!
 //! On a mismatch the test writes the regenerated file next to the test
 //! binary's scratch directory and names the first differing line; copy it
@@ -133,7 +135,7 @@ fn regenerate() -> String {
     )
     .unwrap();
     let cfg = KnnDcConfig::new(K).with_seed(SEED);
-    let strip = |seed| ChaCha8Rng::seed_from_u64(seed);
+    let rng = |seed| ChaCha8Rng::seed_from_u64(seed);
 
     let uniform = Workload::UniformCube.generate::<2>(N, SEED);
     let knn = parallel::<2, 3>(&mut out, "uniform-2d", &uniform, &cfg);
@@ -147,13 +149,13 @@ fn regenerate() -> String {
     parallel::<2, 3>(
         &mut out,
         "outlier-strip-2d",
-        &degenerate::outlier_strip::<2, _>(N, 0.01, &mut strip(SEED)),
+        &degenerate::outlier_strip::<2, _>(N, 0.01, &mut rng(SEED)),
         &cfg,
     );
     parallel::<3, 4>(
         &mut out,
         "outlier-strip-3d",
-        &degenerate::outlier_strip::<3, _>(N, 0.01, &mut strip(SEED)),
+        &degenerate::outlier_strip::<3, _>(N, 0.01, &mut rng(SEED)),
         &cfg,
     );
     parallel::<2, 3>(
@@ -194,6 +196,27 @@ fn regenerate() -> String {
     counters(&mut out, tree.run_report());
     writeln!(out, "snapshot.bytes {}", snap.len()).unwrap();
     writeln!(out, "hash.snapshot {:#018x}", fnv1a64(&snap)).unwrap();
+
+    // The adversarial shapes no row above covers: exact duplicates, a
+    // cloud inside the separator's tolerance band, and a noisy line.
+    parallel::<2, 3>(
+        &mut out,
+        "duplicate-bundles-2d",
+        &degenerate::duplicate_bundles::<2, _>(N, 8, &mut rng(SEED)),
+        &cfg,
+    );
+    parallel::<2, 3>(
+        &mut out,
+        "tolerance-band-2d",
+        &degenerate::tolerance_band_cluster::<2, _>(N, 1e-6, &mut rng(SEED)),
+        &cfg,
+    );
+    parallel::<2, 3>(
+        &mut out,
+        "noisy-line-2d",
+        &Workload::NoisyLine.generate::<2>(N, SEED),
+        &cfg,
+    );
     out
 }
 
