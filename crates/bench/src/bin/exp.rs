@@ -8,7 +8,7 @@
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: exp <exp1..exp10 | all>...");
+        eprintln!("usage: exp <exp1..exp13 | all>...");
         eprintln!("  exp1  separator quality (Theorem 2.1)");
         eprintln!("  exp2  query structure costs (Lemma 3.1 / Theorem 3.1)");
         eprintln!("  exp3  hyperplane vs sphere crossing numbers (§1 motivation)");
@@ -19,6 +19,9 @@ fn main() {
         eprintln!("  exp8  strong scaling across threads");
         eprintln!("  exp9  density lemma ply bounds (Lemma 2.1)");
         eprintln!("  exp10 success rates, marching load, punt frequency");
+        eprintln!("  exp11 vertex separators of the k-NN graph (abstract, §1)");
+        eprintln!("  exp12 ablations of the design choices");
+        eprintln!("  exp13 neighborhood query baselines (§3.1 comparison)");
         std::process::exit(2);
     }
     for id in &args {

@@ -14,7 +14,7 @@ pub mod exp7_intersection_tails;
 pub mod exp8_strong_scaling;
 pub mod exp9_density_lemma;
 
-/// Run one experiment by id ("exp1".."exp10") or "all". Returns false for
+/// Run one experiment by id ("exp1".."exp13") or "all". Returns false for
 /// an unknown id.
 pub fn run(id: &str) -> bool {
     match id {

@@ -15,12 +15,15 @@
 //! # Items and positions
 //!
 //! A node's items arrive as a [`Slab`]: its ids and, for the §5 and §6
-//! engines, each id's coordinates at the same position. Those engines
-//! partition the slab in place, so the coordinates travel with the ids
-//! through every cut, a node's centers are its coordinate slice, and
-//! position `r` of a node is arena position `off + r` for the whole run.
-//! The §3 engine routes by duplicating crossing balls into fresh id lists,
-//! so its slab carries no coordinates and it gathers its centers by id.
+//! engines, each id's coordinates and neighbor row at the same position.
+//! Those engines partition the slab in place, so the coordinates travel
+//! with the ids through every cut and a node's centers are its coordinate
+//! slice. The rows split with them but never move: every cut of a range
+//! comes before any leaf below it writes a row, so row `r` of a node is the
+//! list of the item its children leave at position `r`, and the hooks write
+//! their own node's rows with no lock ([`crate::rows`]). The §3 engine
+//! routes by duplicating crossing balls into fresh id lists, so its slab
+//! carries no coordinates or rows and it gathers its centers by id.
 //!
 //! # Cut order and fallback chain
 //!
@@ -53,6 +56,7 @@
 use crate::config::KnnDcConfig;
 use crate::error::SepdcError;
 use crate::report::{Phase, RunRecorder};
+use crate::rows::Rows;
 use crate::seeding::child_seed;
 use crate::splitter::Splitter;
 use rayon::prelude::*;
@@ -127,42 +131,42 @@ pub(crate) struct Node<const D: usize> {
     pub seed: u64,
 }
 
-/// A node's items: ids, the coordinates of the in-place engines at the same
-/// positions (empty for §3), and the arena position of `ids[0]`.
+/// A node's items: ids, and for the in-place engines each id's point and
+/// neighbor row at the same position (both empty for §3).
 pub(crate) struct Slab<'a, const D: usize> {
     /// The node's item ids.
     pub ids: &'a mut [u32],
     /// `pts[r]` is the point of `ids[r]` (§5, §6), or empty (§3).
     pub pts: &'a mut [Point<D>],
-    /// Arena position of the slab's first item (0 for §3).
-    pub off: usize,
+    /// Row `r` is the list of the item left at position `r` (§5, §6), or
+    /// empty (§3). Never swapped by routing.
+    pub rows: Rows<'a>,
 }
 
-impl<const D: usize> Slab<'_, D> {
-    /// The slab read-only.
-    pub(crate) fn span(&self) -> Span<'_, D> {
-        Span {
-            ids: self.ids,
-            pts: self.pts,
-            off: self.off,
-        }
+impl<'a, const D: usize> Slab<'a, D> {
+    /// The items read-only, and the rows.
+    pub(crate) fn into_parts(self) -> (Span<'a, D>, Rows<'a>) {
+        (
+            Span {
+                ids: self.ids,
+                pts: self.pts,
+            },
+            self.rows,
+        )
     }
 }
 
-/// A read-only [`Slab`]: what the leaf and combine hooks read. Position
-/// `r` of a span is arena position `off + r`, which the §5 and §6 engines
-/// use as the row of the item's neighbor list.
+/// A node's items read-only: what the leaf and combine hooks read, beside
+/// the node's rows. Position `r` of a span is row `r` of those rows.
 #[derive(Clone, Copy)]
 pub(crate) struct Span<'a, const D: usize> {
     /// The items' ids.
     pub ids: &'a [u32],
     /// The items' points, position for position (empty for §3).
     pub pts: &'a [Point<D>],
-    /// Arena position of the first item.
-    pub off: usize,
 }
 
-impl<'a, const D: usize> Span<'a, D> {
+impl<const D: usize> Span<'_, D> {
     /// Number of items.
     pub(crate) fn len(&self) -> usize {
         self.ids.len()
@@ -172,28 +176,7 @@ impl<'a, const D: usize> Span<'a, D> {
     pub(crate) fn split_at(self, at: usize) -> (Self, Self) {
         let (li, ri) = self.ids.split_at(at);
         let (lp, rp) = self.pts.split_at(at);
-        (
-            Span {
-                ids: li,
-                pts: lp,
-                off: self.off,
-            },
-            Span {
-                ids: ri,
-                pts: rp,
-                off: self.off + at,
-            },
-        )
-    }
-
-    /// The id at arena position `pos`.
-    pub(crate) fn id(&self, pos: usize) -> u32 {
-        self.ids[pos - self.off]
-    }
-
-    /// The point at arena position `pos`.
-    pub(crate) fn point(&self, pos: usize) -> &'a Point<D> {
-        &self.pts[pos - self.off]
+        (Span { ids: li, pts: lp }, Span { ids: ri, pts: rp })
     }
 }
 
@@ -219,22 +202,23 @@ pub(crate) trait Routed<const D: usize> {
 }
 
 /// In-place partition (§5, §6): the interior side is the first `nl` items
-/// of the node's own slab.
+/// of the node's own slab, and the first `nl` rows.
 impl<const D: usize> Routed<D> for usize {
     fn children<'a>(&'a mut self, slab: &'a mut Slab<'_, D>) -> (Slab<'a, D>, Slab<'a, D>) {
         let nl = *self;
         let (li, ri) = slab.ids.split_at_mut(nl);
         let (lp, rp) = slab.pts.split_at_mut(nl);
+        let (lr, rr) = slab.rows.reborrow().split_at(nl);
         (
             Slab {
                 ids: li,
                 pts: lp,
-                off: slab.off,
+                rows: lr,
             },
             Slab {
                 ids: ri,
                 pts: rp,
-                off: slab.off + nl,
+                rows: rr,
             },
         )
     }
@@ -247,7 +231,7 @@ impl<const D: usize> Routed<D> for (Vec<u32>, Vec<u32>) {
         let child = |ids| Slab {
             ids,
             pts: &mut [],
-            off: 0,
+            rows: Rows::default(),
         };
         (child(&mut self.0), child(&mut self.1))
     }
@@ -266,17 +250,19 @@ pub(crate) trait Engine<const D: usize, const E: usize>: Sync {
     /// are the centers.
     fn gather(&self, ids: &[u32]) -> Option<Vec<Point<D>>>;
 
-    /// Solve a node the driver does not subdivide.
-    fn leaf(&self, items: Span<'_, D>, kind: Leaf) -> Self::Out;
+    /// Solve a node the driver does not subdivide, writing its `rows`.
+    fn leaf(&self, items: Span<'_, D>, rows: Rows<'_>, kind: Leaf) -> Self::Out;
 
     /// Route the node's items by `sep`.
     fn route(&self, slab: &mut Slab<'_, D>, sep: &Separator<D>) -> Routing<Self::Routed>;
 
     /// Combine the solved children of an internal node whose items are
-    /// `items` (the children have permuted their own slices in place).
+    /// `items` (the children have permuted their own slices in place) and
+    /// whose rows, which the children have written, are `rows`.
     fn combine(
         &self,
         items: Span<'_, D>,
+        rows: Rows<'_>,
         routed: Self::Routed,
         node: Node<D>,
         left: Self::Out,
@@ -360,7 +346,7 @@ impl<'a, const D: usize, const E: usize> Driver<'a, D, E> {
         let m = slab.ids.len();
         self.obs.node(depth);
         if m <= self.leaf_size {
-            return Ok(self.leaf(en, slab.span(), depth, Leaf::Base));
+            return Ok(self.leaf(en, slab, depth, Leaf::Base));
         }
         if depth >= self.depth_limit {
             // Accepted δ-splits cannot reach this depth; getting here means
@@ -370,7 +356,7 @@ impl<'a, const D: usize, const E: usize> Driver<'a, D, E> {
                     limit: self.depth_limit,
                 });
             }
-            return Ok(self.leaf(en, slab.span(), depth, Leaf::DepthCapped));
+            return Ok(self.leaf(en, slab, depth, Leaf::DepthCapped));
         }
         let t_split = self.obs.start();
         let gathered = en.gather(slab.ids);
@@ -389,7 +375,7 @@ impl<'a, const D: usize, const E: usize> Driver<'a, D, E> {
         }
         let Some((mut sep, mut outcome)) = cut else {
             self.obs.stop(Phase::Split, t_split);
-            return Ok(self.leaf(en, slab.span(), depth, Leaf::Unsplittable));
+            return Ok(self.leaf(en, slab, depth, Leaf::Unsplittable));
         };
         // Route by the cut; a one-sided route takes the one rescue, unless
         // the cut already came from the alternate source.
@@ -405,6 +391,7 @@ impl<'a, const D: usize, const E: usize> Driver<'a, D, E> {
                     let next = rescue
                         .take()
                         .and_then(|src| self.propose(src, centers, seed, depth, &mut attempts));
+                    // The rows hold nothing yet, so they stay put.
                     if rotate {
                         slab.ids.rotate_left(1);
                         slab.pts.rotate_left(1);
@@ -425,7 +412,7 @@ impl<'a, const D: usize, const E: usize> Driver<'a, D, E> {
         drop(gathered);
         self.obs.stop(Phase::Split, t_split);
         let Some(mut routed) = routed else {
-            return Ok(self.leaf(en, slab.span(), depth, Leaf::Degenerate));
+            return Ok(self.leaf(en, slab, depth, Leaf::Degenerate));
         };
 
         let (lseed, rseed) = (child_seed(seed, false), child_seed(seed, true));
@@ -450,17 +437,19 @@ impl<'a, const D: usize, const E: usize> Driver<'a, D, E> {
             depth,
             seed,
         };
-        Ok(en.combine(slab.span(), routed, node, left, right))
+        let (items, rows) = slab.into_parts();
+        Ok(en.combine(items, rows, routed, node, left, right))
     }
 
     fn leaf<En: Engine<D, E>>(
         &self,
         en: &En,
-        items: Span<'_, D>,
+        slab: Slab<'_, D>,
         depth: usize,
         kind: Leaf,
     ) -> En::Out {
-        let out = en.leaf(items, kind);
+        let (items, rows) = slab.into_parts();
+        let out = en.leaf(items, rows, kind);
         self.obs.leaf(depth);
         out
     }
@@ -562,7 +551,7 @@ mod tests {
             None
         }
 
-        fn leaf(&self, items: Span<'_, 2>, kind: Leaf) -> Trace {
+        fn leaf(&self, items: Span<'_, 2>, _: Rows<'_>, kind: Leaf) -> Trace {
             for (&i, p) in items.ids.iter().zip(items.pts) {
                 assert_eq!(*p, self.points[i as usize], "a point left its id");
             }
@@ -581,6 +570,7 @@ mod tests {
         fn combine(
             &self,
             _: Span<'_, 2>,
+            _: Rows<'_>,
             _: usize,
             node: Node<2>,
             mut l: Trace,
@@ -655,10 +645,11 @@ mod tests {
         };
         let points = Workload::UniformCube.generate::<2>(n, 1);
         let (mut ids, mut pts): (Vec<u32>, _) = ((0..n as u32).collect(), points.clone());
+        let mut store = crate::rows::RowStore::new(n, 1);
         let slab = Slab {
             ids: &mut ids,
             pts: &mut pts,
-            off: 0,
+            rows: store.rows(),
         };
         let trace = driver.run(&Probe { points, refuse }, slab, 7, 0)?;
         assert_eq!(trace.0.iter().map(|(_, ids)| ids.len()).sum::<usize>(), n);
@@ -831,7 +822,7 @@ mod tests {
             let mut slab = Slab {
                 ids: &mut ids,
                 pts: &mut pts,
-                off: 0,
+                rows: Rows::default(),
             };
             assert!(matches!(partition_points(&mut slab, &sep), Routing::Split(nl) if nl == lo));
             assert_eq!(ids, want, "n = {n}");
@@ -847,7 +838,7 @@ mod tests {
             let mut slab = Slab {
                 ids: &mut ids,
                 pts: &mut pts,
-                off: 0,
+                rows: Rows::default(),
             };
             assert!(
                 matches!(partition_points(&mut slab, &sphere.into()), Routing::OneSided { rotate: r } if r == rotate)

@@ -4,10 +4,14 @@
 //! input point, the `k` nearest other points in ascending distance order.
 //! The divide-and-conquer algorithms build these lists relative to a subset
 //! first and then *correct* them by merging candidates from the other side
-//! of a separator — [`KnnResult::merge_candidate`] is that correction step.
+//! of a separator — `merge_into_row` is that correction step, shared by
+//! [`KnnResult::merge_candidate`] and the §5/§6 recursions' rows
+//! (`crate::rows`), which write each list where the recursion leaves its
+//! point. Their results keep the lists there and read point `i`'s through
+//! an id → row map, so no pass moves the rows to id order.
 
 use crate::dc::{Leaf, Span};
-use crate::shared::SharedLists;
+use crate::rows::Rows;
 use sepdc_geom::point::Point;
 use sepdc_scan::CostProfile;
 
@@ -27,11 +31,19 @@ pub struct Neighbor {
 /// point's subset had fewer than `k + 1` points — the finished algorithms
 /// always return full lists for `n > k`. The flat layout means one
 /// allocation for the whole result and cache-line-contiguous rows.
+///
+/// The §5/§6 recursions leave each list at the row of its point's final
+/// arena position; their results read point `i`'s list through an id →
+/// row map instead of moving the rows to id order. Every method reads
+/// through it, so a mapped result behaves exactly like an id-order one.
 #[derive(Clone, Debug)]
 pub struct KnnResult {
     k: usize,
     lens: Vec<u32>,
     entries: Vec<Neighbor>,
+    /// `row_of[i]` is the row holding point `i`'s list; empty when row `i`
+    /// is point `i`'s.
+    row_of: Vec<u32>,
 }
 
 impl KnnResult {
@@ -48,15 +60,46 @@ impl KnnResult {
                 };
                 n * k
             ],
+            row_of: Vec::new(),
         }
     }
 
-    /// Assemble from an already-filled flat buffer (row-major `n × k`,
-    /// row `i` holding `lens[i]` valid entries).
-    pub(crate) fn from_flat_parts(k: usize, lens: Vec<u32>, entries: Vec<Neighbor>) -> Self {
+    /// Assemble from filled rows (row-major `n × k`, row `r` holding
+    /// `lens[r]` valid entries) whose row `r` is the list of point
+    /// `perm[r]`; the result maps each point to its row.
+    pub(crate) fn from_rows(
+        k: usize,
+        lens: Vec<u32>,
+        entries: Vec<Neighbor>,
+        perm: &[u32],
+    ) -> Self {
         assert!(k > 0, "k must be positive");
         assert_eq!(entries.len(), lens.len() * k);
-        KnnResult { k, lens, entries }
+        assert_eq!(perm.len(), lens.len(), "one perm entry per row");
+        let mut row_of = vec![u32::MAX; perm.len()];
+        for (r, &i) in perm.iter().enumerate() {
+            row_of[i as usize] = r as u32;
+        }
+        debug_assert!(
+            row_of.iter().all(|&r| r != u32::MAX),
+            "perm is not a permutation"
+        );
+        KnnResult {
+            k,
+            lens,
+            entries,
+            row_of,
+        }
+    }
+
+    /// The row holding point `i`'s list.
+    #[inline]
+    fn row(&self, i: usize) -> usize {
+        if self.row_of.is_empty() {
+            i
+        } else {
+            self.row_of[i] as usize
+        }
     }
 
     /// The `k` this result was built for.
@@ -76,18 +119,20 @@ impl KnnResult {
 
     /// The neighbor list of point `i` (ascending distance).
     pub fn neighbors(&self, i: usize) -> &[Neighbor] {
-        let start = i * self.k;
-        &self.entries[start..start + self.lens[i] as usize]
+        let r = self.row(i);
+        let start = r * self.k;
+        &self.entries[start..start + self.lens[r] as usize]
     }
 
     /// Squared radius of the k-neighborhood ball of point `i`: the distance
     /// to its k-th nearest neighbor, or `f64::INFINITY` when fewer than `k`
     /// neighbors are known (the ball is unbounded in the paper's sense).
     pub fn radius_sq(&self, i: usize) -> f64 {
-        if (self.lens[i] as usize) < self.k {
+        let r = self.row(i);
+        if (self.lens[r] as usize) < self.k {
             f64::INFINITY
         } else {
-            self.entries[i * self.k + self.k - 1].dist_sq
+            self.entries[r * self.k + self.k - 1].dist_sq
         }
     }
 
@@ -103,11 +148,12 @@ impl KnnResult {
     /// `O(k)` per call — `k` is a small constant throughout the paper.
     pub fn merge_candidate(&mut self, i: usize, j: u32, dist_sq: f64) -> bool {
         debug_assert_ne!(i as u32, j, "a point is not its own neighbor");
-        let start = i * self.k;
+        let r = self.row(i);
+        let start = r * self.k;
         let row = &mut self.entries[start..start + self.k];
-        match merge_into_row(row, self.lens[i] as usize, j, dist_sq) {
+        match merge_into_row(row, self.lens[r] as usize, j, dist_sq) {
             Some(new_len) => {
-                self.lens[i] = new_len as u32;
+                self.lens[r] = new_len as u32;
                 true
             }
             None => false,
@@ -118,9 +164,10 @@ impl KnnResult {
     /// truncates to `k`.
     pub(crate) fn set_list(&mut self, i: usize, list: &[Neighbor]) {
         let m = list.len().min(self.k);
-        let start = i * self.k;
+        let r = self.row(i);
+        let start = r * self.k;
         self.entries[start..start + m].copy_from_slice(&list[..m]);
-        self.lens[i] = m as u32;
+        self.lens[r] = m as u32;
     }
 
     /// Distance-profile equality with `other` under tolerance `tol`:
@@ -317,7 +364,7 @@ impl ErrorCertificate {
 
 /// Merge candidate `(j, dist_sq)` into the first `len` entries of a sorted
 /// row whose capacity is `row.len() == k`. Shared by [`KnnResult`] and the
-/// lock-striped parallel store. Returns the new length when the candidate
+/// rows of the §5/§6 recursions. Returns the new length when the candidate
 /// was inserted, `None` when it was rejected (worse than a full row's tail,
 /// or a duplicate index).
 pub(crate) fn merge_into_row(
@@ -369,9 +416,9 @@ pub fn solve_subset_brute<const D: usize>(
 }
 
 /// Solve a §5/§6 leaf: write the k-NN list of every item within the leaf
-/// into `lists`, the item at arena position `p` into row `p`. The leaf's
-/// points are contiguous (`leaf.pts`), so the solve reads and writes one
-/// range. Returns the leaf's cost and the distances it evaluated.
+/// into its rows, the item at position `r` into row `r`. The leaf's points
+/// are contiguous (`leaf.pts`), so the solve reads and writes one range.
+/// Returns the leaf's cost and the distances it evaluated.
 ///
 /// A [`Leaf::Unsplittable`] leaf is solved in closed form. The driver makes
 /// one only when neither cut source has a cut, and the halving cut has
@@ -384,13 +431,13 @@ pub fn solve_subset_brute<const D: usize>(
 /// evaluated, where the all-pairs scan costs `m²`. Every other leaf takes
 /// the all-pairs scan.
 pub(crate) fn solve_leaf<const D: usize>(
-    lists: &SharedLists,
+    mut rows: Rows<'_>,
     leaf: Span<'_, D>,
     kind: Leaf,
 ) -> (CostProfile, u64) {
-    // Lists go straight into the shared store through one reused scratch
+    // Lists go straight into the leaf's rows through one reused scratch
     // buffer: an n-point KnnResult per leaf would cost O(n) per leaf.
-    let (ids, m, k) = (leaf.ids, leaf.len(), lists.k());
+    let (ids, m, k) = (leaf.ids, leaf.len(), rows.k());
     let mut scratch = Vec::with_capacity(k + 1);
     if kind == Leaf::Unsplittable {
         debug_assert!(
@@ -416,14 +463,14 @@ pub(crate) fn solve_leaf<const D: usize>(
                     .take(k)
                     .map(|&idx| Neighbor { idx, dist_sq: 0.0 }),
             );
-            lists.set_list(leaf.off + r, &scratch);
+            rows.set_list(r, &scratch);
         }
         return (CostProfile::rounds(k as u64 + 1, m as u64), 0);
     }
     let mut dists = Vec::with_capacity(m);
     for r in 0..m {
         brute_list_span_into(ids, leaf.pts, r, k, &mut dists, &mut scratch);
-        lists.set_list(leaf.off + r, &scratch);
+        rows.set_list(r, &scratch);
     }
     // Paper base case: "compute in m time using m processors".
     (CostProfile::rounds(m as u64, m as u64), (m * m) as u64)
@@ -678,14 +725,13 @@ mod tests {
             for k in [1usize, 3, 8, 39, 45] {
                 let solve = |kind| {
                     // Rows are the leaf's positions.
-                    let lists = SharedLists::new(m, k);
+                    let mut store = crate::rows::RowStore::new(m, k);
                     let span = Span {
                         ids: &ids,
                         pts: &leaf,
-                        off: 0,
                     };
-                    let (cost, evals) = solve_leaf(&lists, span, kind);
-                    (lists.into_result(&rows), cost, evals)
+                    let (cost, evals) = solve_leaf(store.rows(), span, kind);
+                    (store.into_result(&rows), cost, evals)
                 };
                 let (closed, cost, evals) = solve(Leaf::Unsplittable);
                 let (scan, _, scan_evals) = solve(Leaf::Degenerate);

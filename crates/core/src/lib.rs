@@ -53,10 +53,10 @@ pub mod partition_tree;
 pub mod punting;
 pub mod query;
 pub mod report;
+mod rows;
 pub mod seeding;
 pub mod serve;
 pub mod sharded;
-mod shared;
 pub mod simple_parallel;
 pub mod snapshot;
 pub mod splitter;

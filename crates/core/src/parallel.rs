@@ -16,19 +16,27 @@
 //!   `O(log m)` rounds at this node. The Punting Lemma (4.1) shows the
 //!   punts along any root-leaf path sum to `O(log n)` w.h.p., so the whole
 //!   algorithm stays `O(log n)` depth.
+//!
+//! Each node owns its range of the neighbor rows (`crate::rows`): a leaf
+//! writes its rows, a combine corrects its own after both children have
+//! returned, and the fix loop runs over chunks of crossing balls, each
+//! chunk holding the rows of its owners. The rows stay where the recursion
+//! leaves them; the result reads them through the inverse of the tree's
+//! permutation.
 
 use crate::config::KnnDcConfig;
-use crate::correction::{collect_both_sides, correct_via_query, CrossingBall};
+use crate::correction::{collect_both_sides, correct_via_query, Crossing};
 use crate::dc::{partition_points, Driver, Engine, Leaf, Node, Routing, Rule, Slab, Span};
 use crate::error::{validate_points, SepdcError};
 use crate::knn::{solve_leaf, KnnResult};
 use crate::partition_tree::{march_arena_par, Hit, PartitionNode, PartitionTree};
 use crate::report::{cost_counters, meter_counters, stats_counters, Phase, RunRecorder, RunReport};
+use crate::rows::{apply_per_owner, Row, RowStore, Rows};
 use crate::seeding::punt_seed;
-use crate::shared::SharedLists;
 use crate::splitter::RandomSphere;
 use rayon::prelude::*;
 use sepdc_geom::aabb::Aabb;
+use sepdc_geom::ball::Ball;
 use sepdc_geom::point::Point;
 use sepdc_geom::shape::Separator;
 use sepdc_scan::cost::{CostMeter, MeterSnapshot};
@@ -40,9 +48,10 @@ use sepdc_separator::SearchOutcome;
 const REMAP_PAR_CUTOFF: usize = 1 << 14;
 /// Chunk granularity for the parallel remap.
 const REMAP_PAR_CHUNK: usize = 1 << 12;
-/// Minimum march hit count before the candidate-fix loop fans out. Hits
-/// are fixed independently ([`SharedLists`] merges are order-independent
-/// and idempotent under the row lock), so the split is output-invariant.
+/// Least march hits a chunk of crossing balls takes before the fix loop
+/// splits it in two; a side with fewer than twice as many is fixed in one
+/// pass. Each chunk writes only its owners' rows and merges are
+/// order-independent, so the split is output-invariant.
 const FIX_PAR_MIN_HITS: usize = 128;
 
 /// Statistics from one run of the Section 6 algorithm.
@@ -171,10 +180,9 @@ struct Subtree<const D: usize> {
 
 /// The Section 6 engine: leaf solves, in-place routing, and the
 /// fast-correction / punt combine. Every hook reads its node's points from
-/// the coordinate arena the driver partitions with the ids.
+/// the coordinate arena the driver partitions with the ids, and writes the
+/// node's rows.
 struct Ctx<'a, const D: usize> {
-    /// Row `p` is the list of the point at arena position `p`.
-    lists: &'a SharedLists,
     cfg: &'a KnnDcConfig,
     meter: &'a CostMeter,
     obs: &'a RunRecorder,
@@ -213,29 +221,29 @@ pub fn try_parallel_knn<const D: usize, const E: usize>(
     validate_points(points)?;
     let t_run = std::time::Instant::now();
     let n = points.len();
-    let lists = SharedLists::new(n, cfg.k);
+    let mut store = RowStore::new(n, cfg.k);
     let meter = CostMeter::new();
     let obs = RunRecorder::new(cfg.record, cfg.resolve_depth_limit(n));
     let ctx = Ctx {
-        lists: &lists,
         cfg,
         meter: &meter,
         obs: &obs,
     };
     let driver = Driver::<D, E>::for_knn(cfg, n, Rule::Backend(&RandomSphere), &obs, Some(&meter));
     // The arena: ids and their points, which the recursion partitions in
-    // place together, handing each recursive call disjoint `&mut` slices
-    // of both — no per-level clones, and every node's points contiguous.
+    // place together, and the rows, split with them but never moved:
+    // each recursive call gets disjoint `&mut` slices of all three — no
+    // per-level clones, and every node's points and rows contiguous.
     let mut perm: Vec<u32> = (0..n as u32).collect();
     let mut pts = points.to_vec();
     let slab = Slab {
         ids: &mut perm,
         pts: &mut pts,
-        off: 0,
+        rows: store.rows(),
     };
     let sub = driver.run(&ctx, slab, cfg.seed, 0)?;
     drop(pts);
-    let knn = lists.into_result(&perm);
+    let knn = store.into_result(&perm);
     let snapshot = meter.snapshot();
     let mut counters = sub.stats.counters();
     counters.extend(meter_counters(&snapshot));
@@ -317,9 +325,9 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
         None
     }
 
-    fn leaf(&self, items: Span<'_, D>, kind: Leaf) -> Subtree<D> {
+    fn leaf(&self, items: Span<'_, D>, rows: Rows<'_>, kind: Leaf) -> Subtree<D> {
         let t0 = self.obs.start();
-        let (cost, dist_evals) = solve_leaf(self.lists, items, kind);
+        let (cost, dist_evals) = solve_leaf(rows, items, kind);
         self.meter.add_distance_evals(dist_evals);
         self.obs.stop(Phase::LeafSolve, t0);
         Subtree {
@@ -342,6 +350,7 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
     fn combine(
         &self,
         items: Span<'_, D>,
+        mut rows: Rows<'_>,
         nl: usize,
         node: Node<D>,
         left: Subtree<D>,
@@ -384,7 +393,7 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
         // unchanged, so the two halves are exactly the left/right subsets.
         let (cross_l, cross_r, eps_skips, unbounded_evals) =
             self.obs.time(Phase::CollectCrossing, || {
-                collect_both_sides(self.lists, items, nl, &sep, self.cfg.epsilon)
+                collect_both_sides(rows.reborrow(), items, nl, &sep, self.cfg.epsilon)
             });
         self.meter.add_eps_skips(eps_skips);
         self.meter.add_distance_evals(unbounded_evals);
@@ -413,7 +422,16 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
             let limit = self.cfg.marching_limit(m);
             self.obs.time(Phase::FastCorrection, || {
                 try_fast_correction(
-                    self, &cross_l, &cross_r, &nodes, &bounds, l_root, r_root, items, limit,
+                    self,
+                    &cross_l,
+                    &cross_r,
+                    &nodes,
+                    &bounds,
+                    l_root,
+                    r_root,
+                    items,
+                    rows.reborrow(),
+                    limit,
                 )
             })
         });
@@ -440,13 +458,13 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
             }
             self.obs.punt(depth);
             let mut crossing = cross_l;
-            crossing.extend(cross_r);
+            crossing.append(cross_r);
             self.obs.time(Phase::PuntCorrection, || {
                 // The punt tree's ε stays `cfg.query.epsilon` (0 by
                 // default): it is built over already-shrunk balls, so a
                 // second relaxation would double-count ε.
                 let (cost, fstats) =
-                    correct_via_query::<D, E>(self.lists, items, &crossing, self.cfg.query, qseed);
+                    correct_via_query::<D, E>(rows, items, &crossing, self.cfg.query, qseed);
                 self.meter.add_eps_skips(fstats.eps_skips);
                 cost
             })
@@ -472,8 +490,9 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
 }
 
 /// March both crossing sets down the opposite subtrees and merge the
-/// verified candidates. Returns `(work, max_active_ratio)` on success,
-/// `None` when either march exceeds `limit` (caller punts).
+/// verified candidates into the node's `rows`. Returns `(work,
+/// max_active_ratio)` on success, `None` when either march exceeds `limit`
+/// (caller punts).
 ///
 /// `nodes` is the merged child arena (left subtree rooted at `l_root`,
 /// right at `r_root`) and `items` the current call's slices, which the
@@ -481,13 +500,14 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
 #[allow(clippy::too_many_arguments)]
 fn try_fast_correction<const D: usize>(
     ctx: &Ctx<'_, D>,
-    cross_l: &[CrossingBall<D>],
-    cross_r: &[CrossingBall<D>],
+    cross_l: &Crossing<D>,
+    cross_r: &Crossing<D>,
     nodes: &[PartitionNode<D>],
     bounds: &[Aabb<D>],
     l_root: u32,
     r_root: u32,
     items: Span<'_, D>,
+    mut rows: Rows<'_>,
     limit: usize,
 ) -> Option<(u64, f64)> {
     let mut work = 0u64;
@@ -497,7 +517,6 @@ fn try_fast_correction<const D: usize>(
         if crossers.is_empty() {
             continue;
         }
-        let balls: Vec<_> = crossers.iter().map(|c| c.ball).collect();
         // Marching descends only into children whose subtree box the ball
         // intersects: a pruned subtree holds no in-ball points, so the
         // merged lists are identical to the unpruned march's (only the
@@ -505,7 +524,7 @@ fn try_fast_correction<const D: usize>(
         // balls and recombines per-level counts exactly, so steps, prune
         // counts, the active-level high-water mark, and the abort decision
         // all match the monolithic march bit for bit.
-        let out = march_arena_par(nodes, opposite_root, &balls, limit, Some(bounds));
+        let out = march_arena_par(nodes, opposite_root, &crossers.balls, limit, Some(bounds));
         ctx.meter.add_marching(out.total_steps);
         ctx.meter.add_march_pruned(out.pruned);
         if out.aborted {
@@ -513,31 +532,22 @@ fn try_fast_correction<const D: usize>(
         }
         work += out.total_steps;
         max_ratio = max_ratio.max(out.max_active_per_level as f64 / limit_f);
-        // Candidate fix: one distance sweep over each hit leaf's
-        // contiguous points, then a batched merge into the crosser's row
-        // (radius loaded once per batch; `merge_candidate` re-checks under
-        // the row lock, so lists are unchanged). Keep the k closest (merge
-        // handles it). Each hit touches only its owner's row and the
-        // shared-store merge is order-independent, so the fix loop fans out
-        // across the pool when there are many hits; meter totals are added
-        // once per side either way.
-        let fix = |h: &Hit, dists: &mut Vec<f64>| fix_hit(ctx, crossers, items, h, dists);
-        let evals = if out.hits.len() >= FIX_PAR_MIN_HITS && rayon::current_num_threads() > 1 {
-            out.hits
-                .par_iter()
-                .fold(
-                    || (Vec::new(), 0u64),
-                    |(mut dists, evals), h| {
-                        let e = fix(h, &mut dists);
-                        (dists, evals + e)
-                    },
-                )
-                .reduce(|| (Vec::new(), 0u64), |a, b| (a.0, a.1 + b.1))
-                .1
-        } else {
-            let mut dists = Vec::new();
-            out.hits.iter().map(|h| fix(h, &mut dists)).sum()
-        };
+        // Candidate fix, §6.2's k closest per crossing ball: each hit is
+        // merged into its ball's owner's row. Many hits fan out over
+        // chunks of balls, each chunk holding its owners' rows
+        // (`apply_per_owner`); meter totals are added once per side.
+        let evals = apply_per_owner(
+            rows.reborrow(),
+            &crossers.owners,
+            &out.hits,
+            |h| h.ball as usize,
+            FIX_PAR_MIN_HITS,
+            |h, row, dists| {
+                let b = h.ball as usize;
+                let owner = items.ids[crossers.owners[b] as usize];
+                fix_hit(&crossers.balls[b], owner, items, h, row, dists)
+            },
+        );
         work += evals;
         ctx.meter.add_distance_evals(evals);
         ctx.meter.add_correction_dist_evals(evals);
@@ -545,32 +555,30 @@ fn try_fast_correction<const D: usize>(
     Some((work, max_ratio))
 }
 
-/// Fix a crossing ball against one leaf its march reached: the leaf's
-/// points are `items.pts[start..start + len]`. Returns the number of
-/// distance evaluations spent (one per leaf point). `dists` is a reusable
-/// distance buffer.
+/// Fix a crossing ball against one leaf its march reached, merging into
+/// the `row` of its owner, point `owner`: the leaf's points are
+/// `items.pts[start..start + len]`. Returns the number of distance
+/// evaluations spent (one per leaf point). `dists` is a reusable distance
+/// buffer.
 fn fix_hit<const D: usize>(
-    ctx: &Ctx<'_, D>,
-    crossers: &[CrossingBall<D>],
+    ball: &Ball<D>,
+    owner: u32,
     items: Span<'_, D>,
     h: &Hit,
+    row: &mut Row<'_>,
     dists: &mut Vec<f64>,
 ) -> u64 {
-    let c = &crossers[h.ball as usize];
     let range = h.start as usize..(h.start + h.len) as usize;
     let (cands, pts) = (&items.ids[range.clone()], &items.pts[range]);
-    let owner = items.id(c.owner as usize);
     debug_assert!(
         !cands.contains(&owner),
         "opposite subtree cannot contain the owner"
     );
-    let r_sq = c.ball.radius * c.ball.radius;
     // The ball's center is the owner's point, the minuend of every
     // distance kernel.
     dists.clear();
-    dists.extend(pts.iter().map(|p| c.ball.center.dist_sq(p)));
-    ctx.lists
-        .merge_batch(c.owner as usize, owner, cands, dists, r_sq);
+    dists.extend(pts.iter().map(|p| ball.center.dist_sq(p)));
+    row.merge_batch(cands, dists, ball.radius * ball.radius);
     h.len as u64
 }
 
@@ -1048,8 +1056,8 @@ mod tests {
     #[test]
     fn deterministic_across_thread_counts() {
         // The result must be a pure function of (points, config): the
-        // chunked parallel scans concatenate in order and the shared-store
-        // merges are order-independent, so any thread count — including a
+        // chunked parallel scans concatenate in order and the row merges
+        // are order-independent, so any thread count — including a
         // strictly sequential pool — must produce bit-identical output.
         let pts = Workload::Clusters.generate::<2>(3000, 17);
         let cfg = KnnDcConfig::new(3).with_seed(99);

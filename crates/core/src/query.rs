@@ -17,6 +17,7 @@ use crate::config::eps_cover_scale;
 use crate::dc::{Driver, Engine, Leaf, Node, Routing, Rule, Slab, Span};
 use crate::error::{validate_points, SepdcError};
 use crate::report::{cost_counters, stats_counters, RunRecorder, RunReport};
+use crate::rows::Rows;
 use crate::splitter::RandomSphere;
 use rayon::prelude::*;
 use sepdc_geom::ball::Ball;
@@ -209,7 +210,7 @@ impl<const D: usize> QueryTree<D> {
         let slab = Slab {
             ids: &mut ids,
             pts: &mut [],
-            off: 0,
+            rows: Rows::default(),
         };
         let built = driver.run(&BuildCtx { balls, obs: &obs }, slab, seed, 0)?;
         let mut counters = built.stats.counters();
@@ -470,7 +471,7 @@ impl<const D: usize, const E: usize> Engine<D, E> for BuildCtx<'_, D> {
         })
     }
 
-    fn leaf(&self, items: Span<'_, D>, kind: Leaf) -> Built<D> {
+    fn leaf(&self, items: Span<'_, D>, _: Rows<'_>, kind: Leaf) -> Built<D> {
         let m = items.len();
         Built {
             node: QNode::Leaf {
@@ -523,6 +524,7 @@ impl<const D: usize, const E: usize> Engine<D, E> for BuildCtx<'_, D> {
     fn combine(
         &self,
         items: Span<'_, D>,
+        _: Rows<'_>,
         (left_ids, right_ids): (Vec<u32>, Vec<u32>),
         node: Node<D>,
         lb: Built<D>,

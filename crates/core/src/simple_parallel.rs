@@ -21,8 +21,8 @@ use crate::error::{validate_points, SepdcError};
 use crate::knn::{solve_leaf, KnnResult};
 use crate::parallel::knn_report;
 use crate::report::{cost_counters, stats_counters, Phase, RunRecorder, RunReport};
+use crate::rows::{RowStore, Rows};
 use crate::seeding::punt_seed;
-use crate::shared::SharedLists;
 use sepdc_geom::point::Point;
 use sepdc_geom::shape::Separator;
 use sepdc_geom::soa::FilterStats;
@@ -113,10 +113,9 @@ pub struct SimpleDcOutput {
 
 /// The Section 5 engine: leaf solves, in-place routing, and the
 /// query-structure correction. Every hook reads its node's points from the
-/// coordinate arena the driver partitions with the ids.
+/// coordinate arena the driver partitions with the ids, and writes the
+/// node's rows.
 struct Ctx<'a, const D: usize> {
-    /// Row `p` is the list of the point at arena position `p`.
-    lists: &'a SharedLists,
     cfg: &'a KnnDcConfig,
     obs: &'a RunRecorder,
 }
@@ -150,22 +149,19 @@ pub fn try_simple_parallel_knn<const D: usize, const E: usize>(
     validate_points(points)?;
     let t_run = std::time::Instant::now();
     let n = points.len();
-    let lists = SharedLists::new(n, cfg.k);
+    let mut store = RowStore::new(n, cfg.k);
     let obs = RunRecorder::new(cfg.record, cfg.resolve_depth_limit(n));
-    let ctx = Ctx {
-        lists: &lists,
-        cfg,
-        obs: &obs,
-    };
+    let ctx = Ctx { cfg, obs: &obs };
     let driver = Driver::<D, E>::for_knn(cfg, n, Rule::MedianCycling, &obs, None);
-    // The arena: ids and their points, partitioned in place together, each
-    // recursive call getting disjoint `&mut` slices of both.
+    // The arena: ids and their points, partitioned in place together, and
+    // the rows, split with them but never moved; each recursive call gets
+    // disjoint `&mut` slices of all three.
     let mut perm: Vec<u32> = (0..n as u32).collect();
     let mut pts = points.to_vec();
     let slab = Slab {
         ids: &mut perm,
         pts: &mut pts,
-        off: 0,
+        rows: store.rows(),
     };
     let (cost, stats, fstats) = driver.run(&ctx, slab, cfg.seed, 0)?;
     drop(pts);
@@ -173,7 +169,7 @@ pub fn try_simple_parallel_knn<const D: usize, const E: usize>(
     counters.extend(cost_counters(&cost));
     counters.push(("precision.eps_skips".to_string(), fstats.eps_skips as f64));
     Ok(SimpleDcOutput {
-        knn: lists.into_result(&perm),
+        knn: store.into_result(&perm),
         cost,
         stats,
         report: knn_report("simple", cfg, n, &driver, counters, t_run),
@@ -188,9 +184,9 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
         None
     }
 
-    fn leaf(&self, items: Span<'_, D>, kind: Leaf) -> Self::Out {
+    fn leaf(&self, items: Span<'_, D>, rows: Rows<'_>, kind: Leaf) -> Self::Out {
         let t0 = self.obs.start();
-        let (cost, _) = solve_leaf(self.lists, items, kind);
+        let (cost, _) = solve_leaf(rows, items, kind);
         self.obs.stop(Phase::LeafSolve, t0);
         (cost, SimpleDcStats::leaf(kind), FilterStats::default())
     }
@@ -202,6 +198,7 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
     fn combine(
         &self,
         items: Span<'_, D>,
+        mut rows: Rows<'_>,
         nl: usize,
         node: Node<D>,
         (lcost, lstats, lf): Self::Out,
@@ -213,9 +210,9 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
         // are unchanged.
         let (mut crossing, cross_r, eps_skips, unbounded_evals) =
             self.obs.time(Phase::CollectCrossing, || {
-                collect_both_sides(self.lists, items, nl, &node.sep, self.cfg.epsilon)
+                collect_both_sides(rows.reborrow(), items, nl, &node.sep, self.cfg.epsilon)
             });
-        crossing.extend(cross_r);
+        crossing.append(cross_r);
         let node_crossing = crossing.len();
         self.obs.add_crossing(node.depth, node_crossing as u64);
         let qseed = punt_seed(node.seed);
@@ -226,7 +223,7 @@ impl<const D: usize, const E: usize> Engine<D, E> for Ctx<'_, D> {
         // (the Section 5 combine step), so its time lands in the same
         // `punt-correction` phase the Section 6 punt path uses.
         let (corr_cost, corr_stats) = self.obs.time(Phase::PuntCorrection, || {
-            correct_via_query::<D, E>(self.lists, items, &crossing, qcfg, qseed)
+            correct_via_query::<D, E>(rows, items, &crossing, qcfg, qseed)
         });
 
         let local = CostProfile::scan(m as u64); // the split
