@@ -1,7 +1,8 @@
-//! Command implementations, I/O-free (strings in, strings out) so they are
-//! directly testable; the binary handles files and process exit codes.
+//! Command implementations, free of files (strings in; strings, or rows
+//! streamed into any writer, out) so they are directly testable; the
+//! binary handles files and process exit codes.
 
-use crate::io::{format_edges, format_points, parse_points, sniff_dimension};
+use crate::io::{format_points, parse_points, push_hit_row, sniff_dimension, write_edges};
 use crate::CliResult;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -14,6 +15,7 @@ use sepdc_core::{
 };
 use sepdc_separator::{find_good_separator, SeparatorConfig};
 use sepdc_workloads::Workload;
+use std::io::Write;
 
 /// Supported dimensions (the paper treats `d` as a fixed constant; the
 /// binary monomorphizes these).
@@ -55,17 +57,37 @@ pub fn generate(workload: &str, n: usize, dim: usize, seed: u64) -> CliResult<St
     with_dim!(dim, run(w, n, seed))
 }
 
+/// Streams a k-NN graph's edges as CSV into a writer.
+type EdgeWriter = Box<dyn Fn(&mut dyn Write) -> std::io::Result<()>>;
+
 /// Output of the `knn` command.
-#[derive(Debug)]
 pub struct KnnCommandOutput {
-    /// Edge list CSV (undirected, with distances).
-    pub edges_csv: String,
     /// Human-readable run summary.
     pub summary: String,
     /// Serialized [`RunReport`] for the run, when the chosen algorithm
     /// produces one (`parallel` and `simple`; `kdtree` and `brute` have no
     /// instrumented recursion and yield `None`).
     pub report_json: Option<String>,
+    /// The graph and its points, behind [`KnnCommandOutput::write_edges`].
+    edges: EdgeWriter,
+}
+
+impl KnnCommandOutput {
+    /// Stream the undirected k-NN graph as CSV into `w`: a `# source,
+    /// target,distance` header, then one `a,b,distance` row per edge
+    /// (`a < b`, ascending). Nothing is formatted unless this is called.
+    pub fn write_edges(&self, w: &mut dyn Write) -> std::io::Result<()> {
+        (self.edges)(w)
+    }
+}
+
+impl std::fmt::Debug for KnnCommandOutput {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KnnCommandOutput")
+            .field("summary", &self.summary)
+            .field("report_json", &self.report_json)
+            .finish_non_exhaustive()
+    }
 }
 
 /// `knn`: compute the k-NN graph of a point file with a chosen algorithm.
@@ -180,11 +202,6 @@ pub fn knn(
         let (result, extra, report_json) = run.map_err(|e| e.to_string())?;
         let elapsed = t0.elapsed();
         let graph = KnnGraph::from_knn(&result);
-        let edges: Vec<(u32, u32, f64)> = graph
-            .edges()
-            .iter()
-            .map(|&(a, b)| (a, b, points[a as usize].dist(&points[b as usize])))
-            .collect();
         let summary = format!(
             "{} points (d={D}), k={k}, algo={algo}: {} edges, max degree {}, {} component(s), {elapsed:.2?}{extra}",
             points.len(),
@@ -193,9 +210,13 @@ pub fn knn(
             graph.connected_components(),
         );
         Ok(KnnCommandOutput {
-            edges_csv: format_edges(&edges),
             summary,
             report_json,
+            edges: Box::new(move |w| {
+                let edge =
+                    |&(a, b): &(u32, u32)| (a, b, points[a as usize].dist(&points[b as usize]));
+                write_edges(w, graph.edges().iter().map(edge))
+            }),
         })
     }
     with_dim!(dim, run(input, k, algo, seed, epsilon))
@@ -276,11 +297,11 @@ pub fn query(
             .try_serve(&probes, pred, &cfg)
             .map_err(|e| e.to_string())?;
         let serve_s = out.report.wall_ms / 1e3;
-        let mut hits_csv = String::from("# probe,count,ball_ids\n");
+        let mut hits_csv = b"# probe,count,ball_ids\n".to_vec();
         for (i, hits) in out.result.iter().enumerate() {
-            let ids: Vec<String> = hits.iter().map(u32::to_string).collect();
-            hits_csv.push_str(&format!("{i},{},{}\n", hits.len(), ids.join(" ")));
+            push_hit_row(&mut hits_csv, i as u64, hits);
         }
+        let hits_csv = String::from_utf8(hits_csv).expect("hit rows are ASCII");
         let stats = tree.stats();
         let summary = format!(
             "{} balls (d={D}, k={k}), tree height {} / {} leaves, built in {:.1} ms; \
@@ -559,18 +580,21 @@ fn resolve_dim(input: &str, dim_flag: Option<usize>) -> CliResult<usize> {
 mod tests {
     use super::*;
 
+    fn edges_csv(out: &KnnCommandOutput) -> String {
+        let mut csv = Vec::new();
+        out.write_edges(&mut csv).unwrap();
+        String::from_utf8(csv).unwrap()
+    }
+
     #[test]
     fn generate_then_knn_roundtrip() {
         let pts = generate("uniform-cube", 200, 2, 7).unwrap();
         let out = knn(&pts, None, 2, "parallel", 1, 0.0).unwrap();
         assert!(out.summary.contains("200 points (d=2)"));
-        assert!(out.edges_csv.lines().count() > 200);
-        // Same input through the oracle gives the same edge count.
+        assert!(edges_csv(&out).lines().count() > 200);
+        // Same input through the oracle gives the same edges.
         let oracle = knn(&pts, Some(2), 2, "brute", 1, 0.0).unwrap();
-        assert_eq!(
-            out.edges_csv.lines().count(),
-            oracle.edges_csv.lines().count()
-        );
+        assert_eq!(edges_csv(&out), edges_csv(&oracle));
     }
 
     #[test]
@@ -579,7 +603,7 @@ mod tests {
         let mut counts = Vec::new();
         for algo in ["parallel", "simple", "kdtree", "brute"] {
             let out = knn(&pts, None, 1, algo, 5, 0.0).unwrap();
-            counts.push(out.edges_csv.lines().count());
+            counts.push(edges_csv(&out).lines().count());
         }
         assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
     }

@@ -50,9 +50,11 @@
 //! never left half-written), and the batch serve path runs under
 //! `catch_unwind`: a panic (or typed serve error) answers every in-flight
 //! probe of that batch with `error: …` — without consuming their sequence
-//! numbers — and the loop keeps serving.
+//! numbers — and the loop keeps serving. A batch's rows are formatted
+//! inside the `catch_unwind` into one reply buffer, reused across
+//! batches, that reaches the output only when the whole batch served.
 
-use crate::io::{parse_ball, parse_points};
+use crate::io::{parse_ball, parse_probe, push_hit_row};
 use crate::CliResult;
 use sepdc_core::serve::{CoverPredicate, ServeConfig};
 use sepdc_core::snapshot::{self, SnapshotKind};
@@ -135,32 +137,35 @@ impl<const D: usize> ServingIndex<D> {
         }
     }
 
-    /// Serve one admission batch, returning a `count,id id…` row per
-    /// probe. Both arms ride the deterministic CSR engine; the sharded
-    /// arm scatters across shards and gathers ascending by global id,
-    /// which coincides with the single-tree row order (leaf id lists are
-    /// ascending), so the two kinds answer byte-identically over the same
-    /// ball set.
+    /// Serve one admission batch, appending a `seq,count,id id…` row per
+    /// probe to `reply`, numbered from `seq`. Both arms ride the
+    /// deterministic CSR engine; the sharded arm scatters across shards
+    /// and gathers ascending by global id, which coincides with the
+    /// single-tree row order (leaf id lists are ascending), so the two
+    /// kinds answer byte-identically over the same ball set.
     fn serve_rows(
         &self,
         probes: &[Point<D>],
         pred: CoverPredicate,
         cfg: &ServeConfig,
-    ) -> Result<Vec<String>, sepdc_core::SepdcError> {
-        fn row<T: std::fmt::Display>(hits: &[T]) -> String {
-            let ids: Vec<String> = hits.iter().map(T::to_string).collect();
-            format!("{},{}", hits.len(), ids.join(" "))
-        }
+        seq: u64,
+        reply: &mut Vec<u8>,
+    ) -> Result<(), sepdc_core::SepdcError> {
         match self {
             ServingIndex::Single(tree) => {
                 let served = tree.try_serve(probes, pred, cfg)?;
-                Ok(served.result.iter().map(row).collect())
+                for (i, hits) in served.result.iter().enumerate() {
+                    push_hit_row(reply, seq + i as u64, hits);
+                }
             }
             ServingIndex::Sharded(index) => {
                 let served = index.try_covering_batch(probes, pred, cfg)?;
-                Ok(served.iter().map(row).collect())
+                for (i, hits) in served.iter().enumerate() {
+                    push_hit_row(reply, seq + i as u64, hits);
+                }
             }
         }
+        Ok(())
     }
 }
 
@@ -296,9 +301,8 @@ fn classify<const D: usize>(line: &str) -> Option<Request<D>> {
     match line {
         "stats" => Some(Request::Stats),
         "quit" => Some(Request::Quit),
-        _ => Some(match parse_points::<D>(line) {
-            Ok(pts) if pts.len() == 1 => Request::Probe(pts[0]),
-            Ok(_) => Request::Malformed("expected exactly one probe per line".to_string()),
+        _ => Some(match parse_probe::<D>(line) {
+            Ok(p) => Request::Probe(p),
             Err(e) => Request::Malformed(e),
         }),
     }
@@ -368,35 +372,37 @@ fn serve_loop<const D: usize, const E: usize>(
     let mut seq: u64 = 0;
     let mut batch: Vec<Point<D>> = Vec::new();
 
-    // Serve the buffered probes as one batch; write one CSR row per probe.
+    // Serve the buffered probes as one batch, formatting one CSR row per
+    // probe into `reply`, which goes out only when the whole batch served.
     // A panic or typed serve error is contained: every probe of the batch
     // answers `error:` (sequence numbers unconsumed) and serving
     // continues. A write error means the client hung up — finish cleanly.
-    let flush_batch = |batch: &mut Vec<Point<D>>,
-                       out: &mut BufWriter<_>,
-                       seq: &mut u64,
-                       stats: &mut DaemonStats|
+    let mut reply = Vec::new();
+    let mut flush_batch = |batch: &mut Vec<Point<D>>,
+                           out: &mut BufWriter<_>,
+                           seq: &mut u64,
+                           stats: &mut DaemonStats|
      -> bool {
         if batch.is_empty() {
             return true;
         }
         let gen = cell.current();
         let inject = cfg.fail_batch == Some(stats.batches);
+        reply.clear();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if inject {
                 panic!("injected failure (DaemonConfig::fail_batch test hook)");
             }
-            gen.index.serve_rows(batch, pred, &serve_cfg)
+            gen.index
+                .serve_rows(batch, pred, &serve_cfg, *seq, &mut reply)
         }));
         stats.batches += 1;
         let err = match outcome {
-            Ok(Ok(rows)) => {
-                for row in rows {
-                    if writeln!(out, "{seq},{row}").is_err() {
-                        return false;
-                    }
-                    *seq += 1;
+            Ok(Ok(())) => {
+                if out.write_all(&reply).is_err() {
+                    return false;
                 }
+                *seq += batch.len() as u64;
                 stats.probes += batch.len() as u64;
                 batch.clear();
                 return true;

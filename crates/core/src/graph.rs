@@ -3,7 +3,7 @@
 //! Vertices are the input points; `(p_i, p_j)` is an edge when `p_i` is a
 //! k-nearest neighbor of `p_j` or vice versa. The paper constructs the
 //! graph from the k-neighborhood system in `O(log n)` extra rounds; here
-//! the symmetrization is a sort + dedup over the directed lists.
+//! the symmetrization is a counting sort + dedup over the directed lists.
 
 use crate::knn::KnnResult;
 use sepdc_geom::point::Point;
@@ -33,19 +33,40 @@ impl KnnGraph {
     /// ```
     pub fn from_knn(knn: &KnnResult) -> Self {
         let n = knn.len();
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for i in 0..n {
-            for nb in knn.neighbors(i) {
-                let (a, b) = if (i as u32) < nb.idx {
-                    (i as u32, nb.idx)
-                } else {
-                    (nb.idx, i as u32)
-                };
-                edges.push((a, b));
+        // Each directed pair as (lower, upper) endpoint, the lists read in
+        // storage order, counted by lower endpoint.
+        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(n * knn.k());
+        let mut starts = vec![0u32; n + 1];
+        knn.for_each_list(|i, list| {
+            for nb in list {
+                let (a, b) = (i.min(nb.idx), i.max(nb.idx));
+                starts[a as usize + 1] += 1;
+                pairs.push((a, b));
+            }
+        });
+        for a in 0..n {
+            starts[a + 1] += starts[a];
+        }
+        // Counting sort on the lower endpoint, then each (small) bucket of
+        // upper endpoints sorted and deduplicated: the edges come out in
+        // the order one sort of all pairs gives.
+        let mut uppers = vec![0u32; pairs.len()];
+        let mut cursor = starts.clone();
+        for &(a, b) in &pairs {
+            uppers[cursor[a as usize] as usize] = b;
+            cursor[a as usize] += 1;
+        }
+        drop(pairs);
+        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(uppers.len());
+        for a in 0..n {
+            let bucket = &mut uppers[starts[a] as usize..starts[a + 1] as usize];
+            bucket.sort_unstable();
+            for (j, &b) in bucket.iter().enumerate() {
+                if j == 0 || bucket[j - 1] != b {
+                    edges.push((a as u32, b));
+                }
             }
         }
-        edges.sort_unstable();
-        edges.dedup();
         // CSR.
         let mut degree = vec![0u32; n];
         for &(a, b) in &edges {
@@ -215,6 +236,28 @@ mod tests {
         assert!(cut <= 1);
         let far = Hyperplane::axis_aligned(0, 100.0).into();
         assert_eq!(g.edges_cut_by(&pts, &far), 0);
+    }
+
+    #[test]
+    fn edges_match_one_sort_of_all_pairs() {
+        // A §6 result keeps its lists in arena order behind an id → row
+        // map; the storage-order counting sort must give the same edges
+        // as sorting every id-order pair once.
+        let pts = sepdc_workloads::Workload::Clusters.generate::<2>(3000, 4);
+        for k in [1usize, 4] {
+            let knn = crate::parallel_knn::<2, 3>(&pts, &crate::KnnDcConfig::new(k)).knn;
+            let mut want: Vec<(u32, u32)> = (0..pts.len())
+                .flat_map(|i| {
+                    let i = i as u32;
+                    knn.neighbors(i as usize)
+                        .iter()
+                        .map(move |nb| (i.min(nb.idx), i.max(nb.idx)))
+                })
+                .collect();
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(KnnGraph::from_knn(&knn).edges(), &want[..], "k = {k}");
+        }
     }
 
     #[test]

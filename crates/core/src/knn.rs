@@ -124,6 +124,26 @@ impl KnnResult {
         &self.entries[start..start + self.lens[r] as usize]
     }
 
+    /// Visit every list in storage order: `f(i, neighbors(i))` once per
+    /// point, the rows read sequentially. A mapped result inverts its
+    /// id → row map with one scatter first, so no visit is a random row
+    /// access.
+    pub(crate) fn for_each_list(&self, mut f: impl FnMut(u32, &[Neighbor])) {
+        let mut point_of = vec![0u32; self.row_of.len()];
+        for (i, &r) in self.row_of.iter().enumerate() {
+            point_of[r as usize] = i as u32;
+        }
+        let rows = self.entries.chunks_exact(self.k).zip(&self.lens);
+        for (r, (row, &len)) in rows.enumerate() {
+            let i = if point_of.is_empty() {
+                r as u32
+            } else {
+                point_of[r]
+            };
+            f(i, &row[..len as usize]);
+        }
+    }
+
     /// Squared radius of the k-neighborhood ball of point `i`: the distance
     /// to its k-th nearest neighbor, or `f64::INFINITY` when fewer than `k`
     /// neighbors are known (the ball is unbounded in the paper's sense).
