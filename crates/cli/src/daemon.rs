@@ -34,14 +34,20 @@
 //!
 //! ## Admission batching
 //!
-//! A reader thread feeds a bounded channel; the serving loop blocks for
-//! the first pending request, then drains whatever else has already
-//! arrived — coalescing small requests into one batch, capped at a
-//! `chunk_size`-aligned maximum — and answers the whole batch through
-//! the deterministic CSR serve engine. Answers are byte-identical to
-//! `sepdc query` over the same probes no matter how requests were
-//! coalesced or how many threads serve them; a sharded index additionally
-//! answers independently of its shard layout.
+//! One thread reads, serves and writes. It reads the client's bytes into
+//! one 64 KiB buffer and classifies each line where it lies. Probe lines
+//! collect into a batch, capped at a `chunk_size`-aligned maximum; when
+//! no complete line is left in the buffer, the batch is answered through
+//! the deterministic CSR serve engine and the replies are flushed before
+//! the next read, which may block. So a batch coalesces whatever had
+//! already arrived. Answers are byte-identical to `sepdc query` over the
+//! same probes no matter how requests were coalesced or how many threads
+//! serve them; a sharded index additionally answers independently of its
+//! shard layout.
+//!
+//! The daemon reads ahead at most one buffer of requests. A client that
+//! writes more than that (plus what the pipe holds) must read replies
+//! while it writes, or both sides block on a full pipe.
 //!
 //! ## Fault containment
 //!
@@ -61,10 +67,12 @@ use sepdc_core::snapshot::{self, SnapshotKind};
 use sepdc_core::{QueryTree, ShardedIndex};
 use sepdc_geom::ball::Ball;
 use sepdc_geom::Point;
-use std::io::{BufRead, BufWriter, Write};
+use std::io::{BufWriter, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
 use std::sync::{Arc, PoisonError, RwLock};
+
+/// Bytes the daemon reads from the client at a time.
+const READ_BUF_BYTES: usize = 64 * 1024;
 
 /// Daemon tunables (`sepdc serve` flags).
 #[derive(Clone, Copy, Debug)]
@@ -169,10 +177,11 @@ impl<const D: usize> ServingIndex<D> {
     }
 }
 
-/// Load snapshot bytes into whichever serving kind they hold.
+/// Load snapshot bytes into whichever serving kind they hold. The
+/// loader verifies every section checksum; the header only picks it.
 fn load_serving<const D: usize>(bytes: &[u8]) -> Result<ServingIndex<D>, String> {
-    let info = snapshot::inspect(bytes).map_err(|e| e.to_string())?;
-    match info.kind {
+    let (kind, _) = snapshot::kind_and_dim(bytes).map_err(|e| e.to_string())?;
+    match kind {
         SnapshotKind::QueryTree => snapshot::load_query_tree::<D>(bytes)
             .map(ServingIndex::Single)
             .map_err(|e| e.to_string()),
@@ -221,49 +230,97 @@ impl<const D: usize> IndexCell<D> {
     }
 }
 
-/// Run the daemon over arbitrary line-based transports. The binary passes
-/// stdin/stdout; tests pass in-memory buffers. Returns the final counters
-/// when the input ends (EOF, `quit`, or the client closing the response
-/// pipe).
-pub fn run_daemon<R, W>(
+/// Run the daemon over arbitrary byte transports, on the calling thread.
+/// The binary passes stdin/stdout; tests pass in-memory buffers and
+/// pipes. Returns the final counters when the input ends (EOF, `quit`, or
+/// the client closing the response pipe).
+pub fn run_daemon<R: Read, W: Write>(
     input: R,
     output: W,
     index_path: &str,
     cfg: &DaemonConfig,
-) -> CliResult<DaemonStats>
-where
-    R: BufRead + Send + 'static,
-    W: Write,
-{
+) -> CliResult<DaemonStats> {
     let bytes = std::fs::read(index_path).map_err(|e| format!("cannot read {index_path}: {e}"))?;
-    let info = snapshot::inspect(&bytes).map_err(|e| format!("{index_path}: {e}"))?;
-    if !matches!(
-        info.kind,
-        SnapshotKind::QueryTree | SnapshotKind::ShardedIndex
-    ) {
-        return Err(format!(
-            "{index_path}: holds a {}, the daemon serves query-tree or sharded-index snapshots",
-            info.kind.name()
-        ));
-    }
+    let (_, dim) = snapshot::kind_and_dim(&bytes).map_err(|e| format!("{index_path}: {e}"))?;
     fn run<const D: usize, const E: usize>(
         bytes: &[u8],
-        input: impl BufRead + Send + 'static,
+        index_path: &str,
+        input: impl Read,
         output: impl Write,
         cfg: &DaemonConfig,
     ) -> CliResult<DaemonStats> {
-        let index = load_serving::<D>(bytes)?;
+        let index = load_serving::<D>(bytes).map_err(|e| format!("{index_path}: {e}"))?;
         serve_loop::<D, E>(index, input, output, cfg)
     }
-    match info.dim {
-        1 => run::<1, 2>(&bytes, input, output, cfg),
-        2 => run::<2, 3>(&bytes, input, output, cfg),
-        3 => run::<3, 4>(&bytes, input, output, cfg),
-        4 => run::<4, 5>(&bytes, input, output, cfg),
-        5 => run::<5, 6>(&bytes, input, output, cfg),
+    match dim {
+        1 => run::<1, 2>(&bytes, index_path, input, output, cfg),
+        2 => run::<2, 3>(&bytes, index_path, input, output, cfg),
+        3 => run::<3, 4>(&bytes, index_path, input, output, cfg),
+        4 => run::<4, 5>(&bytes, index_path, input, output, cfg),
+        5 => run::<5, 6>(&bytes, index_path, input, output, cfg),
         d => Err(format!(
             "unsupported snapshot dimension {d} (supported: 1..=5)"
         )),
+    }
+}
+
+/// Request lines over one read buffer: `buf[start..end]` holds bytes read
+/// but not yet classified. A line cut by the end of a read is carried to
+/// the front of the buffer, and the next read appends to it.
+struct LineReader<R> {
+    input: R,
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// The input ended (EOF or a read error).
+    eof: bool,
+}
+
+impl<R: Read> LineReader<R> {
+    fn new(input: R) -> Self {
+        LineReader {
+            input,
+            buf: vec![0; READ_BUF_BYTES],
+            start: 0,
+            end: 0,
+            eof: false,
+        }
+    }
+
+    /// The next complete line in the buffer, without its `\n`; once the
+    /// input has ended, also the last line without one. `None` when a read
+    /// is needed first.
+    fn buffered_line(&mut self) -> Option<&[u8]> {
+        let rest = &self.buf[self.start..self.end];
+        let (len, used) = match rest.iter().position(|&b| b == b'\n') {
+            Some(at) => (at, at + 1),
+            None if self.eof && !rest.is_empty() => (rest.len(), rest.len()),
+            None => return None,
+        };
+        let line = self.start..self.start + len;
+        self.start += used;
+        Some(&self.buf[line])
+    }
+
+    /// Read once more from the input, after the unfinished line. A line
+    /// longer than the buffer doubles it, so every line is read whole.
+    fn fill(&mut self) {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        if self.end == self.buf.len() {
+            self.buf.resize(2 * self.buf.len(), 0);
+        }
+        let read = loop {
+            match self.input.read(&mut self.buf[self.end..]) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                read => break read,
+            }
+        };
+        match read {
+            Ok(n) if n > 0 => self.end += n,
+            _ => self.eof = true,
+        }
     }
 }
 
@@ -310,7 +367,7 @@ fn classify<const D: usize>(line: &str) -> Option<Request<D>> {
 
 fn serve_loop<const D: usize, const E: usize>(
     index: ServingIndex<D>,
-    input: impl BufRead + Send + 'static,
+    input: impl Read,
     output: impl Write,
     cfg: &DaemonConfig,
 ) -> CliResult<DaemonStats> {
@@ -339,34 +396,10 @@ fn serve_loop<const D: usize, const E: usize>(
         );
     }
 
-    // Reader thread: pull raw byte lines off the transport into a bounded
-    // queue. Decoding happens here so a non-UTF8 line becomes an
-    // addressable error response instead of silently ending the stream.
-    let (tx, rx) = mpsc::sync_channel::<Result<String, String>>(2 * cap);
-    std::thread::spawn(move || {
-        let mut input = input;
-        let mut lineno: u64 = 0;
-        loop {
-            let mut buf = Vec::new();
-            match input.read_until(b'\n', &mut buf) {
-                Ok(0) => break,
-                Ok(_) => {
-                    lineno += 1;
-                    if buf.last() == Some(&b'\n') {
-                        buf.pop();
-                    }
-                    let msg = String::from_utf8(buf)
-                        .map_err(|_| format!("line {lineno}: invalid UTF-8 byte sequence"));
-                    if tx.send(msg).is_err() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
-        }
-    });
-
+    let mut lines = LineReader::new(input);
+    // Every line counts, blank and comment lines too, so an invalid UTF-8
+    // line's error names its line in the client's stream.
+    let mut lineno: u64 = 0;
     let mut out = BufWriter::new(output);
     let mut stats = DaemonStats::default();
     let mut seq: u64 = 0;
@@ -426,19 +459,17 @@ fn serve_loop<const D: usize, const E: usize>(
         true
     };
 
-    // Block for the first pending request, then drain what's queued.
-    'serve: while let Ok(first) = rx.recv() {
-        let mut lines = vec![first];
-        while let Ok(line) = rx.try_recv() {
-            lines.push(line);
-        }
-        for line in &lines {
-            let req = match line {
+    'serve: loop {
+        while let Some(line) = lines.buffered_line() {
+            lineno += 1;
+            // Decoding here turns a non-UTF8 line into an addressable error
+            // response instead of silently ending the stream.
+            let req = match std::str::from_utf8(line) {
                 Ok(text) => match classify::<D>(text) {
                     Some(req) => req,
                     None => continue,
                 },
-                Err(msg) => Request::Malformed(msg.clone()),
+                Err(_) => Request::Malformed(format!("line {lineno}: invalid UTF-8 byte sequence")),
             };
             // Control requests and errors flush first so responses stay
             // in request order.
@@ -550,14 +581,16 @@ fn serve_loop<const D: usize, const E: usize>(
                 break 'serve;
             }
         }
-        if !flush_batch(&mut batch, &mut out, &mut seq, &mut stats) {
+        // No complete line is left: answer the batch and hand the replies
+        // to the client before a read that may block.
+        if !flush_batch(&mut batch, &mut out, &mut seq, &mut stats) || out.flush().is_err() {
             break;
         }
-        if out.flush().is_err() {
+        if lines.eof {
             break;
         }
+        lines.fill();
     }
-    flush_batch(&mut batch, &mut out, &mut seq, &mut stats);
     let _ = out.flush();
     Ok(stats)
 }

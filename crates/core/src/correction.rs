@@ -27,10 +27,9 @@ use crate::dc::Span;
 use crate::query::{QueryTree, QueryTreeConfig};
 use crate::rows::{apply_per_owner, for_each_owner, Rows};
 use rayon::prelude::*;
-use sepdc_geom::ball::Ball;
+use sepdc_geom::ball::{Ball, FilterStats};
 use sepdc_geom::point::Point;
 use sepdc_geom::shape::Separator;
-use sepdc_geom::soa::FilterStats;
 use sepdc_scan::CostProfile;
 
 /// Crossing balls in ascending owner order, column by column. An owner is
@@ -222,18 +221,16 @@ pub(crate) fn correct_via_query<const D: usize, const E: usize>(
     // itself to each ball it lies in as a (ball, candidate, distance)
     // triple. An offer beyond the owner's current radius is dropped here:
     // radii only shrink while the offers are applied, so the merge would
-    // reject it too. Chunks reuse one set of scratch buffers; the leaf cover
-    // test runs through the blocked SoA kernel. `first` is the position of
-    // `ids[0]`.
+    // reject it too. Chunks reuse one hit buffer; the leaf cover test reads
+    // the ball array. `first` is the position of `ids[0]`.
     let radius_sq = rows.radius_sq();
     let scan = |first: usize, ids: &[u32], pts: &[Point<D>]| {
         let mut stats = FilterStats::default();
         let mut offers: Vec<(u32, u32, f64)> = Vec::new();
-        let mut scratch: Vec<f64> = Vec::new();
         let mut hits: Vec<u32> = Vec::new();
         for ((pos, &p_id), p) in (first..).zip(ids).zip(pts) {
             hits.clear();
-            tree.covering_into(p, true, &mut scratch, &mut hits, &mut stats);
+            tree.covering_into(p, true, &mut hits, &mut stats);
             // A point is offered to every ball owned by another point,
             // whatever its side: a same-side owner's solved list already
             // holds every point strictly inside its ball, so that merge

@@ -20,10 +20,9 @@ use crate::report::{cost_counters, stats_counters, RunRecorder, RunReport};
 use crate::rows::Rows;
 use crate::splitter::RandomSphere;
 use rayon::prelude::*;
-use sepdc_geom::ball::Ball;
+use sepdc_geom::ball::{filter_covering_into, Ball, FilterStats};
 use sepdc_geom::point::Point;
 use sepdc_geom::shape::Separator;
-use sepdc_geom::soa::{FilterStats, SoaBalls};
 use sepdc_scan::CostProfile;
 use sepdc_separator::{SearchOutcome, SeparatorConfig};
 
@@ -118,8 +117,6 @@ impl QueryTreeStats {
 pub struct QueryTree<const D: usize> {
     root: QNode<D>,
     balls: Vec<Ball<D>>,
-    /// Columnar centers + squared radii for the batched leaf cover tests.
-    soa: SoaBalls<D>,
     stats: QueryTreeStats,
     cost: CostProfile,
     report: RunReport,
@@ -244,7 +241,6 @@ impl<const D: usize> QueryTree<D> {
         Ok(QueryTree {
             root: built.node,
             balls: balls.to_vec(),
-            soa: SoaBalls::from_balls(balls),
             stats: built.stats,
             cost: built.cost,
             report,
@@ -279,13 +275,7 @@ impl<const D: usize> QueryTree<D> {
     pub fn try_covering(&self, p: &Point<D>) -> Result<Vec<u32>, SepdcError> {
         validate_points(std::slice::from_ref(p))?;
         let mut out = Vec::new();
-        self.covering_into(
-            p,
-            false,
-            &mut Vec::new(),
-            &mut out,
-            &mut FilterStats::default(),
-        );
+        self.covering_into(p, false, &mut out, &mut FilterStats::default());
         Ok(out)
     }
 
@@ -294,41 +284,25 @@ impl<const D: usize> QueryTree<D> {
     pub fn try_covering_interior(&self, p: &Point<D>) -> Result<Vec<u32>, SepdcError> {
         validate_points(std::slice::from_ref(p))?;
         let mut out = Vec::new();
-        self.covering_into(
-            p,
-            true,
-            &mut Vec::new(),
-            &mut out,
-            &mut FilterStats::default(),
-        );
+        self.covering_into(p, true, &mut out, &mut FilterStats::default());
         Ok(out)
     }
 
-    /// Scratch-reusing cover query: appends to `out` the ids of all balls
-    /// containing `p` (open interior when `open`), in leaf order, and
-    /// returns the number of tree nodes visited. The leaf scan runs through
-    /// the ε-aware [`SoaBalls`] kernel honoring the tree's ε; `scratch` is
-    /// a reusable distance buffer so batch callers ([`serve`](crate::serve),
-    /// the punt correction) do no per-probe allocation, and `stats`
-    /// accumulates the ε skip count.
+    /// Cover query into a reused buffer: appends to `out` the ids of all
+    /// balls containing `p` (open interior when `open`), in leaf order, and
+    /// returns the number of tree nodes visited. The leaf scan is the
+    /// ε-aware [`filter_covering_into`] over the ball array, honoring the
+    /// tree's ε; `stats` accumulates the ε skip count.
     pub(crate) fn covering_into(
         &self,
         p: &Point<D>,
         open: bool,
-        scratch: &mut Vec<f64>,
         out: &mut Vec<u32>,
         stats: &mut FilterStats,
     ) -> usize {
         let (leaf, visited) = self.descend_counted(p);
-        self.soa.filter_covering_eps_into(
-            p,
-            leaf,
-            open,
-            eps_cover_scale(self.epsilon),
-            scratch,
-            out,
-            stats,
-        );
+        let scale = eps_cover_scale(self.epsilon);
+        filter_covering_into(&self.balls, p, leaf, open, scale, out, stats);
         visited
     }
 
@@ -353,11 +327,6 @@ impl<const D: usize> QueryTree<D> {
         }
     }
 
-    /// Columnar view of the indexed balls (the batched cover kernel).
-    pub(crate) fn soa_balls(&self) -> &SoaBalls<D> {
-        &self.soa
-    }
-
     /// The root node, for snapshot flattening.
     pub(crate) fn root(&self) -> &QNode<D> {
         &self.root
@@ -377,7 +346,6 @@ impl<const D: usize> QueryTree<D> {
     pub(crate) fn from_snapshot_parts(
         root: QNode<D>,
         balls: Vec<Ball<D>>,
-        soa: SoaBalls<D>,
         stats: QueryTreeStats,
         cost: CostProfile,
         seed: u64,
@@ -404,7 +372,6 @@ impl<const D: usize> QueryTree<D> {
         QueryTree {
             root,
             balls,
-            soa,
             stats,
             cost,
             report,

@@ -70,8 +70,8 @@ use crate::config::eps_cover_scale;
 use crate::error::{validate_points, SepdcError};
 use crate::query::QueryTree;
 use crate::report::{Phase, RunRecorder, RunReport, RUN_REPORT_VERSION};
+use sepdc_geom::ball::{filter_covering_into, FilterStats};
 use sepdc_geom::point::Point;
-use sepdc_geom::soa::FilterStats;
 
 /// Which containment predicate a batch evaluates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -270,23 +270,21 @@ fn serve_chunk<const D: usize>(
             ..ServeStats::default()
         },
     };
-    let soa = tree.soa_balls();
+    let balls = tree.balls();
     let open = pred == CoverPredicate::Open;
     // ε > 0 relaxes the cover predicate per DESIGN.md §17.
     let eps_scale = eps_cover_scale(cfg.epsilon);
-    // One distance buffer for the whole chunk: the leaf filter runs
-    // through the blocked SoA kernels, appending hits in leaf order (so the
-    // CSR assembly stays byte-identical to the scalar filter).
-    let mut scratch: Vec<f64> = Vec::new();
+    // The leaf filter reads each ball from the ball array and appends hits
+    // in leaf order, so the CSR assembly is the scalar filter's.
     for p in chunk {
         let (leaf, visited) = tree.descend_counted(p);
         let before = part.ids.len();
-        soa.filter_covering_eps_into(
+        filter_covering_into(
+            balls,
             p,
             leaf,
             open,
             eps_scale,
-            &mut scratch,
             &mut part.ids,
             &mut part.stats.filter,
         );

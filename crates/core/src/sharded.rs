@@ -46,10 +46,6 @@ use std::sync::Arc;
 /// Domain-separation tag for per-shard rebuild seeds (`b"SHARD"` packed).
 const SHARD_TAG: u64 = 0x0053_4841_5244;
 
-/// Balls scanned per [`sepdc_geom::soa::SoaPoints::dist_sq_range`] call in
-/// the k-NN shard sweep; sizing only, never answer-affecting.
-const KNN_SCAN_CHUNK: usize = 1024;
-
 /// Snapshot-decoded shard parts: one
 /// `(slot, tree, ids, tombstone bitmap, dead count)` tuple per occupied
 /// slot, in ascending slot order.
@@ -481,15 +477,14 @@ impl<const D: usize> ShardedIndex<D> {
             return Err(SepdcError::NonFinitePoint { idx: 0 });
         }
         let mut out = Vec::new();
-        let mut scratch = Vec::new();
         let mut local = Vec::new();
-        let mut stats = sepdc_geom::soa::FilterStats::default();
+        let mut stats = sepdc_geom::ball::FilterStats::default();
         for shard in self.occupied() {
             local.clear();
             shard
                 .core
                 .tree
-                .covering_into(p, open, &mut scratch, &mut local, &mut stats);
+                .covering_into(p, open, &mut local, &mut stats);
             for &l in &local {
                 if !shard.is_dead(l as usize) {
                     out.push(shard.core.ids[l as usize]);
@@ -722,32 +717,22 @@ impl<const D: usize> ShardedIndex<D> {
     }
 }
 
-/// Exact top-`k` of one shard by `(dist_bits, global_id)`: blocked SoA
-/// distance sweeps (bit-identical to `Point::dist_sq`) feeding a bounded
-/// max-heap, tombstones skipped. Appends the shard's candidates to `out`.
+/// Exact top-`k` of one shard by `(dist_bits, global_id)`: one sweep of
+/// the shard's ball array (`Point::dist_sq`) feeding a bounded max-heap,
+/// tombstones skipped. Appends the shard's candidates to `out`.
 fn shard_topk<const D: usize>(shard: &Shard<D>, p: &Point<D>, k: usize, out: &mut Vec<(u64, u64)>) {
-    let centers = shard.core.tree.soa_balls().centers();
-    let n = centers.len();
-    let mut buf = vec![0.0f64; KNN_SCAN_CHUNK.min(n.max(1))];
     let mut heap: BinaryHeap<(u64, u64)> = BinaryHeap::with_capacity(k + 1);
-    let mut start = 0;
-    while start < n {
-        let len = KNN_SCAN_CHUNK.min(n - start);
-        centers.dist_sq_range(p, start, &mut buf[..len]);
-        for (j, &d) in buf[..len].iter().enumerate() {
-            let local = start + j;
-            if shard.is_dead(local) {
-                continue;
-            }
-            let key = (d.to_bits(), shard.core.ids[local]);
-            if heap.len() < k {
-                heap.push(key);
-            } else if key < *heap.peek().expect("non-empty heap") {
-                heap.pop();
-                heap.push(key);
-            }
+    for (local, b) in shard.core.tree.balls().iter().enumerate() {
+        if shard.is_dead(local) {
+            continue;
         }
-        start += len;
+        let key = (p.dist_sq(&b.center).to_bits(), shard.core.ids[local]);
+        if heap.len() < k {
+            heap.push(key);
+        } else if key < *heap.peek().expect("non-empty heap") {
+            heap.pop();
+            heap.push(key);
+        }
     }
     out.extend(heap);
 }

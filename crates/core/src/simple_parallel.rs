@@ -23,9 +23,9 @@ use crate::parallel::knn_report;
 use crate::report::{cost_counters, stats_counters, Phase, RunRecorder, RunReport};
 use crate::rows::{RowStore, Rows};
 use crate::seeding::punt_seed;
+use sepdc_geom::ball::FilterStats;
 use sepdc_geom::point::Point;
 use sepdc_geom::shape::Separator;
-use sepdc_geom::soa::FilterStats;
 use sepdc_scan::CostProfile;
 
 /// Statistics from one run of the Section 5 algorithm.

@@ -49,7 +49,6 @@ use sepdc_geom::ball::Ball;
 use sepdc_geom::halfspace::Hyperplane;
 use sepdc_geom::point::Point;
 use sepdc_geom::shape::Separator;
-use sepdc_geom::soa::SoaBalls;
 use sepdc_geom::sphere::Sphere;
 use sepdc_scan::CostProfile;
 
@@ -70,7 +69,7 @@ pub const TABLE_ENTRY_LEN: usize = 4 + 8 + 8 + 8;
 /// What structure a snapshot holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SnapshotKind {
-    /// A [`QueryTree`] (§3 neighborhood query structure + SoA ball columns).
+    /// A [`QueryTree`] (§3 neighborhood query structure + its ball array).
     QueryTree,
     /// A [`ShardedIndex`] (logarithmic-method shard manifest wrapping
     /// nested query-tree snapshots, tombstone bitmaps, and the staging
@@ -249,9 +248,9 @@ fn put_f64(buf: &mut Vec<u8>, v: f64) {
 }
 
 /// Length-prefixed flat `f64` array.
-fn put_f64_array(buf: &mut Vec<u8>, vals: &[f64]) {
+fn put_f64_array(buf: &mut Vec<u8>, vals: impl ExactSizeIterator<Item = f64>) {
     put_u64(buf, vals.len() as u64);
-    for &v in vals {
+    for v in vals {
         put_f64(buf, v);
     }
 }
@@ -569,6 +568,14 @@ pub fn inspect(bytes: &[u8]) -> Result<SnapshotInfo, SepdcError> {
     })
 }
 
+/// The kind and dimension a snapshot's header declares, after the header
+/// and section-table checks of [`inspect`] but without its checksum pass:
+/// enough to choose a loader, which then verifies every section once.
+pub fn kind_and_dim(bytes: &[u8]) -> Result<(SnapshotKind, u32), SepdcError> {
+    let c = parse_container(bytes)?;
+    Ok((c.kind, c.dim))
+}
+
 /// Map an on-disk tag to its static name (unknown tags report as `"????"`).
 fn tag_name(tag: &[u8; 4]) -> &'static str {
     match tag {
@@ -593,8 +600,8 @@ fn tag_name(tag: &[u8; 4]) -> &'static str {
 ///
 /// Sections: `META` (16 `u64` words: seed, ball count, the seven stats,
 /// the five cost-profile fields, a splitter word that is always 0, ε bits),
-/// `BALL` (the SoA center columns plus radii — written straight from the columnar arena,
-/// no transpose), `NODE` (the tree flattened postorder, children before
+/// `BALL` (the center coordinates as `D` columns, then the radii),
+/// `NODE` (the tree flattened postorder, children before
 /// parents, root last), `LFID` (concatenated leaf ball-id lists).
 pub fn save_query_tree<const D: usize>(tree: &QueryTree<D>) -> Vec<u8> {
     let stats = tree.stats();
@@ -622,14 +629,13 @@ pub fn save_query_tree<const D: usize>(tree: &QueryTree<D>) -> Vec<u8> {
         put_u64(&mut meta, v);
     }
 
-    // Ball columns, straight from the SoA arena (already columnar).
-    let soa = tree.soa_balls();
-    let mut ball = Vec::new();
+    // Ball columns: each center coordinate, then the radii.
+    let balls = tree.balls();
+    let mut ball = Vec::with_capacity((D + 1) * (8 + 8 * balls.len()));
     for d in 0..D {
-        put_f64_array(&mut ball, soa.centers().col(d));
+        put_f64_array(&mut ball, balls.iter().map(|b| b.center.0[d]));
     }
-    let radii: Vec<f64> = tree.balls().iter().map(|b| b.radius).collect();
-    put_f64_array(&mut ball, &radii);
+    put_f64_array(&mut ball, balls.iter().map(|b| b.radius));
 
     // Flatten the boxed tree: iterative postorder, children emitted
     // before their parent, root last (the PartitionTree arena convention).
@@ -961,25 +967,17 @@ pub fn load_query_tree<const D: usize>(bytes: &[u8]) -> Result<QueryTree<D>, Sep
         .into());
     }
 
-    // Reassemble the ball array (AoS) and the SoA arena from the same
-    // columns — `radius_sq` is recomputed as `r * r`, the exact operation
-    // the builder performs, so cover predicates are bit-identical.
+    // Reassemble the ball array from the columns, bit for bit.
     let balls: Vec<Ball<D>> = (0..n)
         .map(|i| Ball {
             center: Point(std::array::from_fn(|d| cols[d][i])),
             radius: radii[i],
         })
         .collect();
-    let col_arr: [Vec<f64>; D] = match cols.try_into() {
-        Ok(a) => a,
-        Err(_) => unreachable!("cols has exactly D entries"),
-    };
-    let soa = SoaBalls::from_columns(col_arr, &radii);
 
     Ok(QueryTree::from_snapshot_parts(
         root,
         balls,
-        soa,
         meta.stats,
         meta.cost,
         meta.seed,

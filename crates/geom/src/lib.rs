@@ -41,11 +41,11 @@ pub mod sphere;
 pub mod stereo;
 
 pub use aabb::Aabb;
-pub use ball::Ball;
+pub use ball::{Ball, FilterStats};
 pub use halfspace::Hyperplane;
 pub use point::Point;
 pub use shape::{Separator, Side};
-pub use soa::{FilterStats, SoaBalls, SoaPoints};
+pub use soa::SoaPoints;
 pub use sphere::Sphere;
 
 /// Default absolute tolerance used by geometric predicates.

@@ -1,16 +1,16 @@
 //! Structure-of-arrays coordinate arena and batched distance kernels.
 //!
-//! The kd-tree's leaf scans, the brute-force baseline, the query tree's
-//! cover tests and the sharded index's ball scans all reduce to the same
-//! primitive: squared distances from **one** query point to **many**
-//! candidate points. (The §5/§6 recursions keep their points in the
-//! order of their own permutation arena instead, so their scans are
-//! contiguous without a column copy.) The AoS [`Point<D>`] layout makes that
-//! primitive a strided gather — every candidate pulls `D` coordinates from
-//! a distinct cache line and the compiler sees one independent scalar
-//! reduction per pair. [`SoaPoints`] stores the same coordinates as `D`
-//! contiguous `f64` columns so a batch of candidates reads each dimension
-//! as a dense (or gathered-by-id) streak, and the kernels below process
+//! The kd-tree's leaf scans and the brute-force baseline reduce to the
+//! same primitive: squared distances from **one** query point to a
+//! **contiguous run** of candidate points. (The §5/§6 recursions keep
+//! their points in the order of their own permutation arena instead, so
+//! their scans are contiguous without a column copy; the query tree's
+//! leaf cover tests read their scattered balls from the ball array, see
+//! [`crate::ball::filter_covering_into`].) The AoS [`Point<D>`] layout
+//! makes that primitive a strided read — the compiler sees one
+//! independent scalar reduction per pair. [`SoaPoints`] stores the same
+//! coordinates as `D` contiguous `f64` columns so a run of candidates
+//! reads each dimension as a dense streak, and the kernels below process
 //! candidates in fixed-width blocks of [`BLOCK`] with a local accumulator
 //! array — a shape LLVM auto-vectorizes without any `unsafe` or explicit
 //! SIMD intrinsics.
@@ -35,7 +35,6 @@
 //! `tests/proptest_soa_kernels.rs` pin down exactly this contract,
 //! including raw-bit non-finite inputs.
 
-use crate::ball::Ball;
 use crate::point::Point;
 
 /// Fixed kernel width: candidates processed per blocked-loop iteration.
@@ -44,29 +43,11 @@ use crate::point::Point;
 /// blocks stop paying once the accumulator array spills.
 pub const BLOCK: usize = 8;
 
-/// Counters from one ε-relaxed cover-filter pass, accumulated by the
-/// caller into the run-level `precision.eps_skips` counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FilterStats {
-    /// Candidates the (1+ε)-relaxed predicate skipped even though the
-    /// exact predicate admits them — the certificate's skip count.
-    pub eps_skips: u64,
-}
-
-impl FilterStats {
-    /// Accumulate another pass's counters into this one.
-    pub fn merge(&mut self, other: &FilterStats) {
-        self.eps_skips += other.eps_skips;
-    }
-}
-
 /// Per-dimension contiguous coordinate columns for a point set.
 ///
 /// Built once from a point set (same index space as the `&[Point<D>]` it
-/// came from), then shared read-only by its consumer. Id subsets address it
-/// through the gather kernels (the query tree's leaf ball lists); fully
-/// contiguous scans (brute force, a kd-tree stored in tree order) use the
-/// range kernels.
+/// came from), then shared read-only by its consumer: brute force and a
+/// kd-tree stored in tree order scan it with the range kernel.
 #[derive(Clone, Debug)]
 pub struct SoaPoints<const D: usize> {
     /// `cols[d][i]` is coordinate `d` of point `i`.
@@ -87,23 +68,8 @@ impl<const D: usize> SoaPoints<D> {
         SoaPoints { cols, len }
     }
 
-    /// Rebuild the arena from per-dimension columns (already columnar —
-    /// no transpose). Every column must have the same length; serialization
-    /// code uses this so a snapshot load stays a straight column copy.
-    ///
-    /// # Panics
-    /// Panics if the columns disagree on length.
-    pub fn from_columns(cols: [Vec<f64>; D]) -> Self {
-        let len = cols.first().map_or(0, Vec::len);
-        assert!(
-            cols.iter().all(|c| c.len() == len),
-            "SoaPoints::from_columns: ragged columns"
-        );
-        SoaPoints { cols, len }
-    }
-
     /// Borrow coordinate column `d` (`col(d)[i]` is coordinate `d` of
-    /// point `i`) — the flat array serialization code writes to disk.
+    /// point `i`).
     pub fn col(&self, d: usize) -> &[f64] {
         &self.cols[d]
     }
@@ -133,44 +99,10 @@ impl<const D: usize> SoaPoints<D> {
         acc
     }
 
-    /// Gather kernel: `out[j] = |points[ids[j]] - q|^2` for every `j`.
-    ///
-    /// # Panics
-    /// Panics when `out.len() != ids.len()` or any id is out of range.
-    pub fn dist_sq_gather(&self, q: &Point<D>, ids: &[u32], out: &mut [f64]) {
-        assert_eq!(ids.len(), out.len(), "gather kernel length mismatch");
-        let blocks = ids.len() / BLOCK;
-        for b in 0..blocks {
-            let base = b * BLOCK;
-            let idv = &ids[base..base + BLOCK];
-            let mut acc = [0.0f64; BLOCK];
-            for d in 0..D {
-                let col = &self.cols[d];
-                let qd = q.0[d];
-                for j in 0..BLOCK {
-                    let diff = qd - col[idv[j] as usize];
-                    acc[j] += diff * diff;
-                }
-            }
-            out[base..base + BLOCK].copy_from_slice(&acc);
-        }
-        for j in blocks * BLOCK..ids.len() {
-            out[j] = self.dist_sq_to(q, ids[j] as usize);
-        }
-    }
-
-    /// Gather kernel with a reusable `Vec` destination (clears and fills).
-    pub fn dist_sq_gather_into(&self, q: &Point<D>, ids: &[u32], out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(ids.len(), 0.0);
-        self.dist_sq_gather(q, ids, out);
-    }
-
     /// Contiguous kernel: `out[j] = |points[start + j] - q|^2`.
     ///
-    /// The dense-streak variant for scans over an unbroken id range (brute
-    /// force, kd-tree leaves, shard sweeps); `out.len()` fixes the range
-    /// length.
+    /// The dense-streak kernel for scans over an unbroken id range (brute
+    /// force, kd-tree leaves); `out.len()` fixes the range length.
     ///
     /// # Panics
     /// Panics when `start + out.len()` exceeds the arena.
@@ -212,137 +144,6 @@ impl<const D: usize> SoaPoints<D> {
     }
 }
 
-/// Structure-of-arrays view of a ball set: center columns plus a
-/// precomputed squared-radius column.
-///
-/// `radius_sq[i]` is computed as `balls[i].radius * balls[i].radius` — the
-/// exact multiplication [`Ball::contains`] performs — so the batched cover
-/// predicates below are bit-for-bit the scalar predicates.
-#[derive(Clone, Debug)]
-pub struct SoaBalls<const D: usize> {
-    centers: SoaPoints<D>,
-    radius_sq: Vec<f64>,
-}
-
-impl<const D: usize> SoaBalls<D> {
-    /// Transpose a ball slice into center columns + squared radii.
-    pub fn from_balls(balls: &[Ball<D>]) -> Self {
-        let centers: Vec<Point<D>> = balls.iter().map(|b| b.center).collect();
-        SoaBalls {
-            centers: SoaPoints::from_points(&centers),
-            radius_sq: balls.iter().map(|b| b.radius * b.radius).collect(),
-        }
-    }
-
-    /// Rebuild from center columns plus plain radii. `radius_sq` is
-    /// recomputed as `r * r` — the same multiplication `from_balls`
-    /// performs — so a set reloaded from serialized columns filters
-    /// bit-for-bit like the original.
-    ///
-    /// # Panics
-    /// Panics if `radii.len()` disagrees with the column length (or the
-    /// columns are ragged).
-    pub fn from_columns(centers: [Vec<f64>; D], radii: &[f64]) -> Self {
-        let centers = SoaPoints::from_columns(centers);
-        assert_eq!(
-            centers.len(),
-            radii.len(),
-            "SoaBalls::from_columns: center/radius length mismatch"
-        );
-        SoaBalls {
-            centers,
-            radius_sq: radii.iter().map(|r| r * r).collect(),
-        }
-    }
-
-    /// Borrow the center-coordinate arena (columnar access for
-    /// serialization; `centers().col(d)[i]` is coordinate `d` of ball `i`).
-    pub fn centers(&self) -> &SoaPoints<D> {
-        &self.centers
-    }
-
-    /// Borrow the squared-radius column (`radius_sq()[i]` is the squared
-    /// radius of ball `i`).
-    pub fn radius_sq(&self) -> &[f64] {
-        &self.radius_sq
-    }
-
-    /// Number of balls.
-    pub fn len(&self) -> usize {
-        self.radius_sq.len()
-    }
-
-    /// `true` when the set holds no balls.
-    pub fn is_empty(&self) -> bool {
-        self.radius_sq.is_empty()
-    }
-
-    /// Batched cover test: append to `out` every id in `ids` whose ball
-    /// covers `p` — closed (`dist_sq <= r^2`) when `open` is false, open
-    /// interior (`dist_sq < r^2`) when true. Preserves `ids` order, so CSR
-    /// assemblies built on it are byte-identical to the scalar filter.
-    ///
-    /// `scratch` is a reusable distance buffer (cleared and refilled).
-    pub fn filter_covering_into(
-        &self,
-        p: &Point<D>,
-        ids: &[u32],
-        open: bool,
-        scratch: &mut Vec<f64>,
-        out: &mut Vec<u32>,
-    ) {
-        self.centers.dist_sq_gather_into(p, ids, scratch);
-        if open {
-            for (j, &i) in ids.iter().enumerate() {
-                if scratch[j] < self.radius_sq[i as usize] {
-                    out.push(i);
-                }
-            }
-        } else {
-            for (j, &i) in ids.iter().enumerate() {
-                if scratch[j] <= self.radius_sq[i as usize] {
-                    out.push(i);
-                }
-            }
-        }
-    }
-
-    /// ε-relaxed cover test. `eps_scale` is `1 / (1+ε)^2`: the relaxed
-    /// predicate admits only `dist_sq <= r^2 * eps_scale` (`<` when
-    /// `open`), and each ball the exact predicate admits but the relaxed
-    /// one skips increments `stats.eps_skips`. At `eps_scale == 1.0` this
-    /// is [`SoaBalls::filter_covering_into`] exactly.
-    #[allow(clippy::too_many_arguments)]
-    pub fn filter_covering_eps_into(
-        &self,
-        p: &Point<D>,
-        ids: &[u32],
-        open: bool,
-        eps_scale: f64,
-        scratch: &mut Vec<f64>,
-        out: &mut Vec<u32>,
-        stats: &mut FilterStats,
-    ) {
-        if eps_scale >= 1.0 {
-            // The exact predicate: the byte-contract fast path.
-            self.filter_covering_into(p, ids, open, scratch, out);
-            return;
-        }
-        self.centers.dist_sq_gather_into(p, ids, scratch);
-        for (j, &i) in ids.iter().enumerate() {
-            let r2 = self.radius_sq[i as usize];
-            let t = r2 * eps_scale;
-            let d = scratch[j];
-            let admit = if open { d < t } else { d <= t };
-            if admit {
-                out.push(i);
-            } else if if open { d < r2 } else { d <= r2 } {
-                stats.eps_skips += 1;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,23 +160,6 @@ mod tests {
                 ])
             })
             .collect()
-    }
-
-    #[test]
-    fn gather_kernel_matches_scalar_bitwise() {
-        let pts = pts_3d(53);
-        let soa = SoaPoints::from_points(&pts);
-        let q = Point::from([0.25, -1.5, 3.0]);
-        let ids: Vec<u32> = (0..pts.len() as u32).rev().collect();
-        let mut out = vec![0.0; ids.len()];
-        soa.dist_sq_gather(&q, &ids, &mut out);
-        for (j, &i) in ids.iter().enumerate() {
-            assert_eq!(
-                out[j].to_bits(),
-                q.dist_sq(&pts[i as usize]).to_bits(),
-                "id {i}"
-            );
-        }
     }
 
     #[test]
@@ -396,11 +180,10 @@ mod tests {
         let soa = SoaPoints::from_points(&pts);
         let q = Point::origin();
         for n in 0..pts.len() {
-            let ids: Vec<u32> = (0..n as u32).collect();
             let mut out = vec![0.0; n];
-            soa.dist_sq_gather(&q, &ids, &mut out);
-            for (j, &i) in ids.iter().enumerate() {
-                assert_eq!(out[j].to_bits(), q.dist_sq(&pts[i as usize]).to_bits());
+            soa.dist_sq_range(&q, pts.len() - n, &mut out);
+            for (j, d) in out.iter().enumerate() {
+                assert_eq!(d.to_bits(), q.dist_sq(&pts[pts.len() - n + j]).to_bits());
             }
         }
     }
@@ -413,67 +196,5 @@ mod tests {
         for (i, p) in pts.iter().enumerate() {
             assert!((0..3).all(|d| soa.col(d)[i] == p[d]));
         }
-    }
-
-    #[test]
-    fn soa_balls_cover_matches_scalar() {
-        let pts = pts_3d(33);
-        let balls: Vec<Ball<3>> = pts
-            .iter()
-            .enumerate()
-            .map(|(i, p)| Ball::new(*p, (i % 5) as f64))
-            .collect();
-        let soa = SoaBalls::from_balls(&balls);
-        let probe = Point::from([1.0, 0.5, 3.0]);
-        let ids: Vec<u32> = (0..balls.len() as u32).collect();
-        let (mut scratch, mut closed, mut open) = (Vec::new(), Vec::new(), Vec::new());
-        soa.filter_covering_into(&probe, &ids, false, &mut scratch, &mut closed);
-        soa.filter_covering_into(&probe, &ids, true, &mut scratch, &mut open);
-        let want_closed: Vec<u32> = ids
-            .iter()
-            .copied()
-            .filter(|&i| balls[i as usize].contains(&probe))
-            .collect();
-        let want_open: Vec<u32> = ids
-            .iter()
-            .copied()
-            .filter(|&i| balls[i as usize].contains_interior(&probe))
-            .collect();
-        assert_eq!(closed, want_closed);
-        assert_eq!(open, want_open);
-    }
-
-    #[test]
-    fn tiered_filter_counts_eps_skips_exactly() {
-        // Probe at distance 0.9r from each center: with eps_scale shrunk
-        // below (0.9)^2 the relaxed predicate must skip, and the skip is
-        // counted.
-        let balls: Vec<Ball<3>> = (0..6)
-            .map(|i| Ball::new(Point::from([i as f64 * 10.0, 0.0, 0.0]), 1.0))
-            .collect();
-        let soa = SoaBalls::from_balls(&balls);
-        let probe = Point::from([0.9, 0.0, 0.0]); // inside ball 0 only
-        let ids: Vec<u32> = (0..balls.len() as u32).collect();
-        let eps_scale = 0.5; // relaxed threshold r^2/2 < 0.81
-        let (mut scratch, mut out) = (Vec::new(), Vec::new());
-        let mut stats = FilterStats::default();
-        soa.filter_covering_eps_into(
-            &probe,
-            &ids,
-            false,
-            eps_scale,
-            &mut scratch,
-            &mut out,
-            &mut stats,
-        );
-        assert!(out.is_empty(), "relaxed filter must skip");
-        assert_eq!(stats.eps_skips, 1);
-    }
-
-    #[test]
-    fn filter_stats_merge_accumulates() {
-        let mut a = FilterStats { eps_skips: 4 };
-        a.merge(&FilterStats { eps_skips: 40 });
-        assert_eq!(a, FilterStats { eps_skips: 44 });
     }
 }

@@ -21,9 +21,9 @@ use sepdc::core::{
     brute_force_knn, eps_cover_scale, parallel_knn, simple_parallel_knn, try_kdtree_all_knn,
     KnnDcConfig, KnnResult,
 };
-use sepdc::geom::ball::Ball;
+use sepdc::geom::ball::{filter_covering_into, Ball, FilterStats};
 use sepdc::geom::point::Point;
-use sepdc::geom::soa::{FilterStats, SoaBalls, SoaPoints};
+use sepdc::geom::soa::SoaPoints;
 use sepdc::workloads::Workload;
 
 /// Coordinates as raw bit patterns: mostly finite grid values, with a
@@ -63,13 +63,12 @@ fn check_filters<const D: usize>(
     p: &Point<D>,
     eps: f64,
 ) -> Result<(), TestCaseError> {
-    let soa = SoaBalls::from_balls(balls);
     let ids: Vec<u32> = (0..balls.len() as u32).collect();
     let scale = eps_cover_scale(eps);
-    let mut scratch = Vec::new();
     for open in [false, true] {
         let mut exact = Vec::new();
-        soa.filter_covering_into(p, &ids, open, &mut scratch, &mut exact);
+        let mut exact_stats = FilterStats::default();
+        filter_covering_into(balls, p, &ids, open, 1.0, &mut exact, &mut exact_stats);
         let scalar: Vec<u32> = ids
             .iter()
             .copied()
@@ -83,10 +82,11 @@ fn check_filters<const D: usize>(
             })
             .collect();
         prop_assert_eq!(&exact, &scalar, "exact filter vs scalar, open={}", open);
+        prop_assert_eq!(exact_stats.eps_skips, 0, "the exact filter skips nothing");
 
         let mut relaxed = Vec::new();
         let mut stats = FilterStats::default();
-        soa.filter_covering_eps_into(p, &ids, open, scale, &mut scratch, &mut relaxed, &mut stats);
+        filter_covering_into(balls, p, &ids, open, scale, &mut relaxed, &mut stats);
         let mut rest = exact.iter();
         for &i in &relaxed {
             prop_assert!(
@@ -95,8 +95,9 @@ fn check_filters<const D: usize>(
                 i,
                 open
             );
-            let d = balls[i as usize].center.dist_sq(p);
-            let t = soa.radius_sq()[i as usize] * scale;
+            let b = &balls[i as usize];
+            let d = b.center.dist_sq(p);
+            let t = b.radius * b.radius * scale;
             prop_assert!(
                 if open { d < t } else { d <= t },
                 "relaxed kept {} past r²·scale",
@@ -155,8 +156,8 @@ proptest! {
     /// Contract 1 where squares lose precision: regime 0 puts every
     /// coordinate and radius in the subnormal range, so all squares flush
     /// to zero; regime 1 puts them near `sqrt(MIN_POSITIVE)`, so squares
-    /// straddle the normal/subnormal boundary. The blocked kernel must
-    /// stay bit-exact with the scalar distance in both.
+    /// straddle the normal/subnormal boundary. The blocked range kernel
+    /// must stay bit-exact with the scalar distance in both.
     #[test]
     fn cover_filters_are_sound_on_subnormals(
         regime in 0u32..2,
@@ -174,9 +175,8 @@ proptest! {
 
         let centers: Vec<Point<2>> = balls.iter().map(|b| b.center).collect();
         let soa = SoaPoints::from_points(&centers);
-        let ids: Vec<u32> = (0..centers.len() as u32).collect();
         let mut d = vec![0.0; centers.len()];
-        soa.dist_sq_gather(&p, &ids, &mut d);
+        soa.dist_sq_range(&p, 0, &mut d);
         for (i, c) in centers.iter().enumerate() {
             prop_assert_eq!(d[i].to_bits(), p.dist_sq(c).to_bits(), "kernel vs scalar at {}", i);
         }

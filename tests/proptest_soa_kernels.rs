@@ -1,12 +1,12 @@
 //! Property-based parity tests for the SoA blocked distance kernels and
-//! soundness tests for the AABB-pruned Fast-Correction march.
+//! the ball-array cover filter, and soundness tests for the AABB-pruned
+//! Fast-Correction march.
 //!
 //! The kernels in `sepdc::geom::soa` claim **bitwise** parity with the
 //! scalar reference `Point::dist_sq` for every input whose distance is a
 //! number — not approximate agreement. These tests pin that down with
-//! `to_bits` equality across dimensions 1..=8, with duplicate points,
-//! duplicate ids, and raw-bit coordinates that include NaNs, infinities,
-//! and subnormals. When the distance is NaN both sides must say NaN, but
+//! `to_bits` equality across dimensions 1..=8, with duplicate points and
+//! raw-bit coordinates that include NaNs, infinities, and subnormals. When the distance is NaN both sides must say NaN, but
 //! the payload bits are exempt — see [`same_dist`].
 //!
 //! The pruning tests pin the conservativeness of the ball-vs-AABB
@@ -17,9 +17,9 @@
 use proptest::prelude::*;
 use sepdc::core::partition_tree::march_balls_unpruned;
 use sepdc::core::{brute_force_knn, march_balls, parallel_knn, KnnDcConfig};
-use sepdc::geom::ball::Ball;
+use sepdc::geom::ball::{filter_covering_into, Ball, FilterStats};
 use sepdc::geom::point::Point;
-use sepdc::geom::soa::{SoaBalls, SoaPoints};
+use sepdc::geom::soa::SoaPoints;
 
 /// Coordinates as raw bit patterns: mostly finite grid values (duplicates
 /// and exact ties), with a tail of special values (NaN, ±inf, -0.0,
@@ -64,21 +64,6 @@ fn check_parity<const D: usize>(vals: &[f64], q_vals: &[f64]) -> Result<(), Test
         .collect();
     let q: Point<D> = Point::from(std::array::from_fn(|d| q_vals[d]));
     let soa = SoaPoints::from_points(&pts);
-
-    // Gather kernel: reversed ids followed by the forward ids — duplicate
-    // ids are legal and must produce duplicate (identical) outputs.
-    let mut ids: Vec<u32> = (0..n as u32).rev().collect();
-    ids.extend(0..n as u32);
-    let mut out = vec![0.0; ids.len()];
-    soa.dist_sq_gather(&q, &ids, &mut out);
-    for (j, &i) in ids.iter().enumerate() {
-        prop_assert!(
-            same_dist(out[j], q.dist_sq(&pts[i as usize])),
-            "gather D={} id={}",
-            D,
-            i
-        );
-    }
 
     // Contiguous range kernel, every (start, len) combination.
     for start in 0..n {
@@ -154,7 +139,7 @@ proptest! {
         check_parity::<8>(&vals, &q)?;
     }
 
-    /// The batched ball-cover filter is the scalar `contains` /
+    /// The ball-array cover filter is the scalar `contains` /
     /// `contains_interior` filter, in the same (leaf) order.
     #[test]
     fn ball_cover_filter_matches_scalar(
@@ -173,13 +158,12 @@ proptest! {
                 Ball::new(Point::from([vals[2 * i], vals[2 * i + 1]]), r)
             })
             .collect();
-        let soa = SoaBalls::from_balls(&balls);
         let p = Point::from([probe[0], probe[1]]);
         let ids: Vec<u32> = (0..n as u32).collect();
-        let mut scratch = Vec::new();
         for open in [false, true] {
             let mut fast = Vec::new();
-            soa.filter_covering_into(&p, &ids, open, &mut scratch, &mut fast);
+            let mut stats = FilterStats::default();
+            filter_covering_into(&balls, &p, &ids, open, 1.0, &mut fast, &mut stats);
             let slow: Vec<u32> = ids
                 .iter()
                 .copied()

@@ -1,10 +1,14 @@
-//! The CLI's row parser against the line-by-line parser it replaced.
+//! The CLI's row parser against the line-by-line parser it replaced, and
+//! the daemon's read loop against the ways a client's bytes arrive.
 //!
 //! `oracle_parse_points` is the former `sepdc_cli::io::parse_points`,
 //! kept verbatim: one `Vec<&str>` of fields per line, split at `,` and
 //! at `char::is_whitespace`. The row parser must return the same points,
 //! bit for bit, or the same error string, on any text and at any pool
 //! size, including texts that are cut into several parallel chunks.
+//!
+//! The daemon must answer the same bytes however its input is cut into
+//! reads, and must answer what has arrived before it waits for more.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -12,7 +16,8 @@ use rand_chacha::ChaCha8Rng;
 use sepdc::geom::Point;
 use sepdc_cli::daemon::{run_daemon, DaemonConfig};
 use sepdc_cli::io::{parse_ball, parse_points, PARSE_CHUNK_BYTES};
-use std::io::Cursor;
+use std::io::{BufRead, BufReader, Cursor, Read, Write};
+use std::time::Duration;
 
 fn oracle_parse_points<const D: usize>(text: &str) -> Result<Vec<Point<D>>, String> {
     let mut out = Vec::new();
@@ -240,9 +245,10 @@ fn ball_rows_keep_their_messages() {
     assert_eq!((ball.center, ball.radius), (Point([0.5, 0.25]), 0.125));
 }
 
-#[test]
-fn malformed_probes_answer_the_same_error_rows() {
-    let dir = std::env::temp_dir().join(format!("sepdc-text-io-{}", std::process::id()));
+/// A snapshot of 300 uniform balls in a temporary directory (sharded with
+/// staging capacity 16 when `sharded`), and 40 probe lines.
+fn daemon_fixture(name: &str, sharded: bool) -> (std::path::PathBuf, String, Vec<String>) {
+    let dir = std::env::temp_dir().join(format!("sepdc-text-io-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let points = sepdc_cli::commands::generate("uniform-cube", 300, 2, 3).unwrap();
     let built = sepdc_cli::commands::index_build(
@@ -250,7 +256,7 @@ fn malformed_probes_answer_the_same_error_rows() {
         Some(2),
         2,
         5,
-        None,
+        sharded.then_some(16),
         Default::default(),
         Default::default(),
         0.0,
@@ -258,6 +264,14 @@ fn malformed_probes_answer_the_same_error_rows() {
     .unwrap();
     let snap = dir.join("index.snap");
     std::fs::write(&snap, &built.snapshot).unwrap();
+    let probes = sepdc_cli::commands::generate("clusters", 40, 2, 9).unwrap();
+    let probes = probes.lines().map(String::from).collect();
+    (dir, snap.to_str().unwrap().to_string(), probes)
+}
+
+#[test]
+fn malformed_probes_answer_the_same_error_rows() {
+    let (dir, snap, _) = daemon_fixture("malformed", false);
 
     let input = "1,2,3\r\n\
                  0.5,x\n\
@@ -274,7 +288,7 @@ fn malformed_probes_answer_the_same_error_rows() {
     run_daemon(
         Cursor::new(input.as_bytes().to_vec()),
         &mut out,
-        snap.to_str().unwrap(),
+        &snap,
         &DaemonConfig::default(),
     )
     .unwrap();
@@ -295,5 +309,151 @@ fn malformed_probes_answer_the_same_error_rows() {
     );
     assert_eq!(lines[7], "error: line 1: cannot parse 'y'");
     assert_eq!(lines[8], "ok bye");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Hands out the bytes of `data` 1–7 at a time, as a client's writes
+/// might arrive through a pipe.
+struct Trickle {
+    data: Vec<u8>,
+    at: usize,
+    rng: ChaCha8Rng,
+}
+
+impl Read for Trickle {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self
+            .rng
+            .gen_range(1..8usize)
+            .min(buf.len())
+            .min(self.data.len() - self.at);
+        buf[..n].copy_from_slice(&self.data[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
+#[test]
+fn fragmented_reads_give_the_same_replies() {
+    let (dir, snap, probes) = daemon_fixture("fragments", true);
+    // Probes in CRLF and LF, with blank and comment lines, an invalid
+    // UTF-8 line, and `stats`, `insert` and `delete` between them; the
+    // last line has no newline.
+    let mut input: Vec<u8> = b"# x,y\r\n\r\n".to_vec();
+    let mut bad_line = 0;
+    for (i, probe) in probes.iter().enumerate() {
+        input.extend_from_slice(probe.as_bytes());
+        input.extend_from_slice(if i % 3 == 0 { b"\r\n" } else { b"\n" });
+        match i {
+            4 => input.extend_from_slice(b"stats\n"),
+            9 => input.extend_from_slice(b"insert 0.5,0.5,0.25\r\n\n"),
+            14 => {
+                bad_line = input.iter().filter(|&&b| b == b'\n').count() + 1;
+                input.extend_from_slice(b"0.5,\xff0.5\n  # comment\n");
+            }
+            19 => input.extend_from_slice(b"delete 7\nstats\r\n"),
+            24 => input.extend_from_slice(b"delete 300\n\t\n"),
+            _ => {}
+        }
+    }
+    input.extend_from_slice(b"stats\n0.5,0.5");
+    // One probe a batch, so the `stats` lines count the same batches
+    // however the reads cut the input.
+    let cfg = DaemonConfig {
+        chunk: 1,
+        batch_max: 1,
+        ..DaemonConfig::default()
+    };
+    let serve = |input: &mut dyn Read| {
+        let mut out = Vec::new();
+        run_daemon(input, &mut out, &snap, &cfg).unwrap();
+        String::from_utf8(out).unwrap()
+    };
+    let want = in_pool(1, || serve(&mut Cursor::new(input.clone())));
+    let rows: Vec<&str> = want.lines().collect();
+    assert_eq!(rows.len(), 41 + 7, "{want}");
+    assert_eq!(
+        rows[17],
+        format!("error: line {bad_line}: invalid UTF-8 byte sequence")
+    );
+    assert!(
+        rows[11].starts_with("ok inserted id=300 n=301"),
+        "{}",
+        rows[11]
+    );
+    assert!(
+        rows[23].starts_with("ok deleted id=7 n=300"),
+        "{}",
+        rows[23]
+    );
+    assert!(
+        rows[30].starts_with("ok deleted id=300 n=299"),
+        "{}",
+        rows[30]
+    );
+    assert!(rows[46].contains(" probes=40 batches=40 "), "{}", rows[46]);
+    assert!(rows[47].starts_with("40,"), "the last line is answered");
+    for threads in [1, 2] {
+        for seed in 0..4 {
+            let mut trickle = Trickle {
+                data: input.clone(),
+                at: 0,
+                rng: ChaCha8Rng::seed_from_u64(seed),
+            };
+            let got = in_pool(threads, || serve(&mut trickle));
+            assert_eq!(got, want, "{threads} threads, seed {seed}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_interactive_client_gets_each_reply_before_it_writes_again() {
+    let (dir, snap, probes) = daemon_fixture("interactive", false);
+    let mut want = Vec::new();
+    let all = probes.join("\n") + "\n0.5,0.5\n";
+    run_daemon(Cursor::new(all), &mut want, &snap, &DaemonConfig::default()).unwrap();
+    let want: Vec<String> = String::from_utf8(want)
+        .unwrap()
+        .lines()
+        .map(String::from)
+        .collect();
+
+    let (input, mut client) = std::io::pipe().unwrap();
+    let (replies, output) = std::io::pipe().unwrap();
+    let daemon = std::thread::spawn(move || {
+        run_daemon(input, output, &snap, &DaemonConfig::default()).unwrap()
+    });
+    let (tx, rx) = std::sync::mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        for line in BufReader::new(replies).lines() {
+            if tx.send(line.unwrap()).is_err() {
+                break;
+            }
+        }
+    });
+    let reply = || {
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("no reply in 10 s: the daemon read on before answering")
+    };
+    let (last, probes) = probes.split_last().unwrap();
+    for (probe, row) in probes.iter().zip(&want) {
+        client.write_all(format!("{probe}\n").as_bytes()).unwrap();
+        assert_eq!(&reply(), row);
+    }
+    // The start of the next line arrives with the last probe: the probe is
+    // answered while that part waits in the buffer for the rest.
+    client
+        .write_all(format!("{last}\n0.5,").as_bytes())
+        .unwrap();
+    assert_eq!(reply(), want[39]);
+    client.write_all(b"0.5\n").unwrap();
+    assert_eq!(reply(), want[40]);
+    client.write_all(b"stats\n").unwrap();
+    assert!(reply().contains(" probes=41 batches=41 "));
+    drop(client);
+    let stats = daemon.join().unwrap();
+    reader.join().unwrap();
+    assert_eq!((stats.probes, stats.batches), (41, 41));
     let _ = std::fs::remove_dir_all(&dir);
 }
